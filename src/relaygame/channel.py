@@ -19,10 +19,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-#: Below this relative spacing the removable singularities switch to their
-#: limit branches.
-SINGULARITY_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class LinkModel:
@@ -89,17 +85,28 @@ def mutual_info_mrc(gain_sd: float, gain_rd: float, snr: float) -> float:
     return 0.5 * math.log2(1.0 + (gain_sd + gain_rd) * snr)
 
 
-def cooperative_outage_event(draw: ChannelDraw, link: LinkModel) -> bool:
-    """Whether this realization fails to carry the target rate.
+def outage_thresholds(target_rate):
+    """Gain-times-SNR thresholds of the direct path (2^R - 1) and of the
+    half-rate relay paths (2^{2R} - 1); elementwise, overflowing to inf."""
+    with np.errstate(over="ignore"):
+        return np.power(2.0, target_rate) - 1.0, np.power(2.0, 2.0 * target_rate) - 1.0
+
+
+def outage_event(g_sd, g_sr, g_rd, snr, t_direct, t_relay):
+    """Selection decode-and-forward outage (Laneman, Tse and Wornell, 2004).
 
     The achieved rate is max(direct, min(first hop, combined)): the relay path
-    only helps when the relay itself decoded.
+    only helps when the relay itself decoded.  Written log-free against the
+    thresholds of ``outage_thresholds``; arguments broadcast elementwise.
     """
-    snr, r = link.snr_avg, link.target_rate
-    direct = mutual_info_direct(draw.gain_sd, snr)
-    relay_path = min(mutual_info_source_relay(draw.gain_sr, snr),
-                     mutual_info_mrc(draw.gain_sd, draw.gain_rd, snr))
-    return max(direct, relay_path) < r
+    return (g_sd * snr < t_direct) & ((g_sr * snr < t_relay)
+                                      | ((g_sd + g_rd) * snr < t_relay))
+
+
+def cooperative_outage_event(draw: ChannelDraw, link: LinkModel) -> bool:
+    """Whether this realization fails to carry the target rate."""
+    return bool(outage_event(draw.gain_sd, draw.gain_sr, draw.gain_rd, link.snr_avg,
+                             *outage_thresholds(link.target_rate)))
 
 
 def outage_closed_form(link: LinkModel) -> float:
@@ -107,7 +114,8 @@ def outage_closed_form(link: LinkModel) -> float:
 
     Raw value is returned unclamped; reporting layers may clip tiny negative
     round-off.  The removable singularity at dist_rd^pathloss_exp == 1 is
-    evaluated by its analytic limit.
+    evaluated by its analytic limit; next to it ``expm1`` keeps the general
+    branch free of cancellation.
     """
     if link.snr_avg <= 0:
         raise ValidationError("snr_avg must be > 0")
@@ -119,10 +127,13 @@ def outage_closed_form(link: LinkModel) -> float:
     ln_omega = 2.0 * ln_v - ln_v * ln_v * gamma
     s = link.dist_sr ** link.pathloss_exp
     x = link.dist_rd ** link.pathloss_exp
-    if abs(1.0 - x) < SINGULARITY_TOL:
+    if x == 1.0:
         # lim_{x->1} (v^(1-x) - 1)/(1 - x) = ln v
         return 1.0 - v + math.exp(ln_omega * (s + x)) * ln_v
-    term = math.exp(ln_omega * (s + x) + ln_v * (1.0 - x)) - math.exp(ln_omega * (s + x))
+    # omega^(s+x) * (v^(1-x) - 1), with expm1 taken of a non-positive
+    # argument on either side of x = 1 so it cannot overflow.
+    a, b = ln_omega * (s + x), ln_v * (1.0 - x)
+    term = math.exp(a) * math.expm1(b) if b <= 0.0 else -math.exp(a + b) * math.expm1(-b)
     return 1.0 - v + term / (1.0 - x)
 
 
@@ -140,11 +151,7 @@ def outage_monte_carlo(link: LinkModel, trials: int, seed: int) -> OutageEstimat
     g_sr = rng.exponential(link.dist_sr ** -alpha, trials)
     g_rd = rng.exponential(link.dist_rd ** -alpha, trials)
 
-    snr, r = link.snr_avg, link.target_rate
-    direct = np.log2(1.0 + g_sd * snr)
-    first_hop = 0.5 * np.log2(1.0 + g_sr * snr)
-    combined = 0.5 * np.log2(1.0 + (g_sd + g_rd) * snr)
-    hits = np.maximum(direct, np.minimum(first_hop, combined)) < r
+    hits = outage_event(g_sd, g_sr, g_rd, link.snr_avg, *outage_thresholds(link.target_rate))
 
     p_hat = float(hits.mean())
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
@@ -162,28 +169,30 @@ def ber_direct(snr_sd: float) -> float:
     """BPSK bit error rate of the direct path under Rayleigh fading."""
     if snr_sd <= 0:
         raise ValidationError(f"snr_sd must be > 0, got {snr_sd}")
-    return 0.5 * (1.0 - math.sqrt(snr_sd / (1.0 + snr_sd)))
+    return 0.5 * _miss_and_mu(snr_sd)[0]
 
 
-def _ber_diversity_raw(snr_sd: float, snr_rd: float) -> float:
-    return 0.5 * (1.0 + (1.0 / (snr_rd - snr_sd))
-                  * (snr_sd / math.sqrt(1.0 + 1.0 / snr_sd)
-                     - snr_rd / math.sqrt(1.0 + 1.0 / snr_rd)))
+def _miss_and_mu(snr: float) -> tuple[float, float]:
+    """(1 - u, u) for u = sqrt(snr / (1 + snr)); 1 - u is taken as
+    1 / ((1 + snr)(1 + u)), which keeps full precision at high SNR."""
+    u = math.sqrt(snr / (1.0 + snr))
+    return 1.0 / ((1.0 + snr) * (1.0 + u)), u
 
 
 def ber_diversity(snr_sd: float, snr_rd: float) -> float:
     """BER of the combined (direct + relayed) signal.
 
-    The expression has a removable singularity at equal mean SNRs; near it the
-    value is taken as the average of two symmetric perturbations, which
-    preserves continuity without a separate limit form.
+    Two-branch MRC BPSK with distinct mean SNRs a, b (Simon and Alouini):
+    0.5 * (1 - (b*u_b - a*u_a) / (b - a)) with u = sqrt(snr / (1 + snr)).
+    Substituting snr = u^2 / (1 - u^2) cancels the difference quotient to
+    0.5 * (1 - u_a)(1 - u_b)(u_a + u_b + u_a*u_b) / (u_a + u_b), a product of
+    positive terms: exact at a == b, and free of cancellation near it or,
+    with 1 - u from ``_miss_and_mu``, at high SNR.
     """
     if snr_sd <= 0 or snr_rd <= 0:
         raise ValidationError("both SNRs must be > 0")
-    if abs(snr_rd - snr_sd) < SINGULARITY_TOL * max(snr_rd, snr_sd):
-        return 0.5 * (_ber_diversity_raw(snr_sd, snr_rd * (1.0 + 1e-6))
-                      + _ber_diversity_raw(snr_sd, snr_rd * (1.0 - 1e-6)))
-    return _ber_diversity_raw(snr_sd, snr_rd)
+    (miss_a, u_a), (miss_b, u_b) = _miss_and_mu(snr_sd), _miss_and_mu(snr_rd)
+    return 0.5 * miss_a * miss_b * (u_a + u_b + u_a * u_b) / (u_a + u_b)
 
 
 def ber_end_to_end(

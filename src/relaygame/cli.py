@@ -34,23 +34,20 @@ from .report import (
     bundle_to_csv,
     bundle_to_json,
 )
-from .scenario import PRESET_NAMES, load_scenario, presets, scenario_from_dict, scenario_to_dict
+from .scenario import (
+    PRESET_NAMES,
+    SECTIONS,
+    field_names,
+    load_scenario,
+    presets,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 from .throughput import ArqMode
 
 #: Scenario fields --set may override (dotted paths into the scenario JSON).
 OVERRIDE_KEYS = frozenset(
-    ["name"]
-    + [f"game.{k}" for k in (
-        "detect_rate", "false_alarm_rate", "attack_cost", "monitor_cost",
-        "false_alarm_loss", "weight_info", "weight_security")]
-    + [f"throughput.{k}" for k in (
-        "packet_bits", "hash_bits", "n_messages", "auth_prob", "presig_time",
-        "transfer_time", "data_rate", "reaction_time", "window")]
-    + ["security.max_compromised_fraction"]
-    + [f"sim.{k}" for k in (
-        "episodes", "packets_per_episode", "seed", "attacker_mode",
-        "source_mode", "auth_prob", "refined_detection")]
-)
+    ["name"] + [f"{key}.{name}" for key, cls in SECTIONS.items() for name in field_names(cls)])
 
 CSV_COLUMNS_HELP = """\
 CSV columns per command:

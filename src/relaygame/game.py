@@ -75,20 +75,29 @@ def combined_asset(profile: RelayProfile, params: GameParams) -> float:
     return params.weight_info * profile.info_asset + params.weight_security * profile.sec_asset
 
 
+def psi(asset: float, q_i: float, params: GameParams) -> float:
+    """psi_i(q) = A_i(1 - 2a*q_i - C_a): attacker payoff per unit of attack on relay i."""
+    return asset * (1 - 2 * params.detect_rate * q_i - params.attack_cost)
+
+
+def phi(asset: float, p_i: float, params: GameParams) -> float:
+    """phi_i(p) = A_i(p_i(2a + beta*C_f) - (beta*C_f + C_m)): source payoff per unit
+    of selecting relay i, apart from the -p_i*A_i attack loss no selection avoids."""
+    bcf = params.false_alarm_rate * params.false_alarm_loss
+    return asset * (p_i * (2 * params.detect_rate + bcf) - (bcf + params.monitor_cost))
+
+
+def _relay_utility(asset: float, p_i: float, q_i: float, params: GameParams):
+    u_att = p_i * psi(asset, q_i, params)
+    u_src = q_i * phi(asset, p_i, params) - p_i * asset
+    return u_att + 0.0, u_src + 0.0  # + 0.0 normalizes negative zero
+
+
 def cell_utilities(
     params: GameParams, asset: float, attack: bool, select: bool
 ) -> tuple[float, float]:
     """(attacker, source) utility for one pure-action cell on a single relay."""
-    a = params.detect_rate
-    if attack and select:
-        return ((1 - 2 * a - params.attack_cost) * asset,
-                -(1 - 2 * a + params.monitor_cost) * asset)
-    if attack:
-        return ((1 - params.attack_cost) * asset, -asset)
-    if select:
-        return (0.0, -(params.false_alarm_rate * params.false_alarm_loss
-                       + params.monitor_cost) * asset)
-    return (0.0, 0.0)
+    return _relay_utility(asset, float(attack), float(select), params)
 
 
 @dataclass(frozen=True)
@@ -183,37 +192,27 @@ def _strategy_pair(p, q, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return pv, qv
 
 
-def attacker_total_utility(p, q, profiles, params: GameParams) -> float:
-    """Expected attacker payoff: sum_i p_i * A_i * (1 - 2a*q_i - attack_cost)."""
+def _relay_utilities(p, q, profiles, params: GameParams) -> list[tuple[float, float]]:
     pv, qv = _strategy_pair(p, q, len(profiles))
     assets = _checked_assets(profiles, params)
-    a, ca = params.detect_rate, params.attack_cost
-    return sum(pi * ai * (1 - 2 * a * qi - ca) for pi, qi, ai in zip(pv, qv, assets))
+    return [_relay_utility(ai, pi, qi, params) for ai, pi, qi in zip(assets, pv, qv)]
+
+
+def attacker_total_utility(p, q, profiles, params: GameParams) -> float:
+    """Expected attacker payoff: sum_i p_i * psi_i(q)."""
+    return sum(u for u, _ in _relay_utilities(p, q, profiles, params))
 
 
 def source_total_utility(p, q, profiles, params: GameParams) -> float:
-    """Expected source payoff per the bilinear total-utility form."""
-    pv, qv = _strategy_pair(p, q, len(profiles))
-    assets = _checked_assets(profiles, params)
-    a = params.detect_rate
-    bcf = params.false_alarm_rate * params.false_alarm_loss
-    cm = params.monitor_cost
-    return sum(
-        qi * ai * (pi * (2 * a + bcf) - (bcf + cm)) - pi * ai
-        for pi, qi, ai in zip(pv, qv, assets)
-    )
+    """Expected source payoff: sum_i (q_i * phi_i(p) - p_i * A_i)."""
+    return sum(u for _, u in _relay_utilities(p, q, profiles, params))
 
 
 def per_relay_utility(
     profile: RelayProfile, p_i: float, q_i: float, params: GameParams
 ) -> tuple[float, float]:
     """(attacker, source) expected utility contributed by a single relay."""
-    ai = combined_asset(profile, params)
-    a = params.detect_rate
-    bcf = params.false_alarm_rate * params.false_alarm_loss
-    u_att = p_i * ai * (1 - 2 * a * q_i - params.attack_cost)
-    u_src = q_i * ai * (p_i * (2 * a + bcf) - (bcf + params.monitor_cost)) - p_i * ai
-    return u_att + 0.0, u_src + 0.0  # + 0.0 normalizes negative zero
+    return _relay_utility(combined_asset(profile, params), p_i, q_i, params)
 
 
 def _prefix_threshold(m: int, inv_asset_prefix_sum: float, params: GameParams) -> float:
@@ -333,7 +332,7 @@ def solve_equilibrium(profiles, params: GameParams) -> EquilibriumSolution:
     p_vec = tuple(p_by_id.get(pr.id, 0.0) for pr in profiles)
     q_vec = tuple(q_by_id.get(pr.id, 0.0) for pr in profiles)
     per_relay = tuple(
-        per_relay_utility(pr, pi, qi, params)
+        _relay_utility(assets[pr.id], pi, qi, params)
         for pr, pi, qi in zip(profiles, p_vec, q_vec)
     )
     return EquilibriumSolution(
@@ -382,24 +381,18 @@ def verify_equilibrium(
     """
     pv, qv = _strategy_pair(p, q, len(profiles))
     assets = _checked_assets(profiles, params)
-    a = params.detect_rate
-    bcf = params.false_alarm_rate * params.false_alarm_loss
-    cm = params.monitor_cost
-
-    # Attacker: per-unit payoff of attacking relay i against q.
-    psi = [ai * (1 - 2 * a * qi - params.attack_cost) for ai, qi in zip(assets, qv)]
-    u_att = sum(pi * s for pi, s in zip(pv, psi))
-    best_att = max(range(len(psi)), key=lambda k: (psi[k], -profiles[k].id))
-
-    # Source: per-unit payoff of selecting relay i against p (shared -p.A term
-    # cancels in the gain).
-    phi = [ai * (pi * (2 * a + bcf) - (bcf + cm)) for ai, pi in zip(assets, pv)]
-    u_src = sum(qi * s for qi, s in zip(qv, phi))
-    best_src = max(range(len(phi)), key=lambda k: (phi[k], -profiles[k].id))
+    # Per-unit payoffs of each pure deviation; the source's shared -p.A term
+    # cancels in its gain.
+    att = [psi(ai, qi, params) for ai, qi in zip(assets, qv)]
+    src = [phi(ai, pi, params) for ai, pi in zip(assets, pv)]
+    u_att = sum(pi * s for pi, s in zip(pv, att))
+    u_src = sum(qi * s for qi, s in zip(qv, src))
+    best_att = max(range(len(att)), key=lambda k: (att[k], -profiles[k].id))
+    best_src = max(range(len(src)), key=lambda k: (src[k], -profiles[k].id))
 
     return VerificationReport(
-        attacker_gain=psi[best_att] - u_att,
-        source_gain=phi[best_src] - u_src,
+        attacker_gain=att[best_att] - u_att,
+        source_gain=src[best_src] - u_src,
         attacker_best_id=profiles[best_att].id,
         source_best_id=profiles[best_src].id,
         tolerance=tolerance,

@@ -21,7 +21,12 @@ from .channel import (
     outage_sr_link,
     packet_success,
 )
-from .errors import NoFeasibleMessageCountError, ValidationError
+from .errors import (
+    DegenerateGameError,
+    InfeasibleEquilibriumError,
+    NoFeasibleMessageCountError,
+    ValidationError,
+)
 from .game import (
     EquilibriumSolution,
     combined_asset,
@@ -31,16 +36,18 @@ from .game import (
 )
 from .scenario import Scenario, canonical_json, scenario_hash
 from .sim import (
+    RNG_ALGORITHM,
     SimConfig,
+    check_auth_grid,
     child_seed,
     estimate_compromise_curve,
+    most_attacked_relay,
     policy_auth_probs,
     run_simulation,
 )
 from .throughput import (
     ArqMode,
     compromising_probability,
-    min_auth_probability,
     optimize_messages,
     throughput_for_mode,
     throughput_gbn,
@@ -61,7 +68,7 @@ def provenance(scenario: Scenario, seed: int | None = None) -> dict:
         "seed": seed,
         "timing_model": scenario.throughput.timing_model,
         "p_c_binding": "selected-relay",
-        "rng": "numpy-pcg64",
+        "rng": RNG_ALGORITHM,
         "fading_convention": FADING_CONVENTION,
     }
 
@@ -167,12 +174,6 @@ def build_sweep_n_report(
     }
 
 
-def _conditioning_relay(scenario: Scenario, solution: EquilibriumSolution) -> int:
-    ids = [pr.id for pr in scenario.profiles]
-    j = max(range(len(ids)), key=lambda k: (solution.attacker.probs[k], -ids[k]))
-    return ids[j]
-
-
 def _scenario_pc(scenario: Scenario, relay_id: int | None = None) -> float:
     """Packet-success probability bound to one relay's link (default: relay
     the attacker targets most, falling back to the first relay pre-solve)."""
@@ -180,8 +181,8 @@ def _scenario_pc(scenario: Scenario, relay_id: int | None = None) -> float:
     if relay_id is None:
         try:
             solution = solve_equilibrium(scenario.profiles, scenario.game)
-            relay_id = _conditioning_relay(scenario, solution)
-        except Exception:
+            relay_id = most_attacked_relay(scenario.profiles, solution)
+        except (DegenerateGameError, InfeasibleEquilibriumError):
             relay_id = ids[0]
     ln = scenario.links[ids.index(relay_id)]
     ber = ber_end_to_end(ln.target_rate, ln.snr_sd, ln.snr_sr, ln.snr_rd)
@@ -200,13 +201,9 @@ def build_sweep_auth_report(
     with ``simulate`` enabled each grid point also runs a seeded simulation
     and reports that relay's empirical conditional compromise rate.
     """
-    if len(grid) == 0:
-        raise ValidationError("authentication grid must not be empty")
-    for pa in grid:
-        if not 0.0 <= pa <= 1.0:
-            raise ValidationError(f"grid value {pa} outside [0, 1]")
+    check_auth_grid(grid)
     solution = solve_equilibrium(scenario.profiles, scenario.game)
-    relay_id = _conditioning_relay(scenario, solution)
+    relay_id = most_attacked_relay(scenario.profiles, solution)
     p_star = solution.attacker.probs[
         [pr.id for pr in scenario.profiles].index(relay_id)]
     p_c = _scenario_pc(scenario, relay_id)
@@ -259,14 +256,10 @@ def build_simulation_report(
     sim = sim or scenario.sim
     if sim is None:
         raise ValidationError("scenario has no sim configuration and none was given")
+    policy = policy_auth_probs(scenario.profiles, solution, scenario.security)
     if auth_policy:
-        sim = replace(sim, auth_prob=policy_auth_probs(
-            scenario.profiles, solution, scenario.security))
+        sim = replace(sim, auth_prob=policy)
     report = run_simulation(scenario, sim, solution)
-    policy = {
-        pr.id: min_auth_probability(p_i, scenario.security)
-        for pr, p_i in zip(scenario.profiles, solution.attacker.probs)
-    }
     return {
         "report": "simulate",
         "provenance": provenance(scenario, seed=sim.seed),

@@ -9,15 +9,20 @@ field path.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import hashlib
 import json
+import math
+import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .channel import LinkModel
 from .errors import ValidationError
 from .game import GameParams, RelayProfile
-from .sim import AttackerMode, SimConfig, SourceMode
+from .sim import SimConfig
 from .throughput import SecurityRequirement, ThroughputConfig
 
 SCHEMA_VERSION = 1
@@ -139,236 +144,230 @@ def presets() -> dict[str, Scenario]:
     return {"military": _military(), "commercial": _commercial()}
 
 
+# --- the field table -------------------------------------------------------
+#
+# Every scenario field is read and written through one table, built at import
+# from the dataclass fields: a field's type picks its reader, its dataclass
+# default is its default.  _WIRE holds the facts the dataclasses do not carry.
+
 _REQUIRED = object()
 
+#: JSON sections outside the relay list, by the Scenario field they fill.
+SECTIONS = {"game": GameParams, "throughput": ThroughputConfig,
+            "security": SecurityRequirement, "sim": SimConfig}
 
-class _Field:
-    """Path-qualified extraction from nested scenario dicts."""
 
-    def __init__(self, data: dict, path: str):
+class _Node:
+    """One JSON object of the scenario, with its field path for errors."""
+
+    def __init__(self, data, path: str):
         if not isinstance(data, dict):
             raise ValidationError(f"{path}: expected an object, got {type(data).__name__}")
         self.data = data
         self.path = path
-
-    def child(self, key: str) -> "_Field":
-        return _Field(self.require(key), f"{self.path}.{key}")
 
     def require(self, key: str):
         if key not in self.data:
             raise ValidationError(f"{self.path}.{key}: missing required field")
         return self.data[key]
 
-    def get(self, key: str, default=None):
-        return self.data.get(key, default)
+    def child(self, key: str) -> "_Node":
+        return _Node(self.require(key), f"{self.path}.{key}")
+
+    def absent(self, key: str, default):
+        # An explicit JSON null counts as absent, so overrides can unset fields.
+        if default is _REQUIRED:
+            raise ValidationError(f"{self.path}.{key}: missing required field")
+        return default
+
+    def wrong(self, key: str, expected: str, value) -> ValidationError:
+        return ValidationError(f"{self.path}.{key}: expected {expected}, got {value!r}")
 
     def number(self, key: str, default=_REQUIRED) -> float | None:
-        # An explicit JSON null counts as absent, so overrides can unset fields.
-        if self.data.get(key) is None:
-            if default is _REQUIRED:
-                raise ValidationError(f"{self.path}.{key}: missing required field")
-            return default
-        value = self.data[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"{self.path}.{key}: expected a number, got {value!r}")
+        value = self.data.get(key)
+        if value is None:
+            return self.absent(key, default)
+        if not (math.isfinite(value) if isinstance(value, float)
+                else _is_integer(value) and abs(value) <= sys.float_info.max):
+            raise self.wrong(key, "a finite number", value)
         return float(value)
 
-    def integer(self, key: str, default=_REQUIRED) -> int | None:
-        if self.data.get(key) is None:
-            if default is _REQUIRED:
-                raise ValidationError(f"{self.path}.{key}: missing required field")
-            return default
-        value = self.data[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"{self.path}.{key}: expected an integer, got {value!r}")
+    def checked(self, key: str, default, check, expected: str):
+        value = self.data.get(key)
+        if value is None:
+            return self.absent(key, default)
+        if not check(value):
+            raise self.wrong(key, expected, value)
         return value
 
-    def snr(self, key: str) -> float:
-        """Linear value from either ``key`` or ``key_db`` (never both)."""
-        has_lin = self.data.get(key) is not None
-        has_db = self.data.get(f"{key}_db") is not None
-        if has_lin and has_db:
-            raise ValidationError(f"{self.path}.{key}: give either {key} or {key}_db, not both")
-        if has_db:
-            return db_to_linear(self.number(f"{key}_db"))
-        if not has_lin:
-            raise ValidationError(f"{self.path}.{key}: missing required field ({key} or {key}_db)")
-        return self.number(key)
+    def integer(self, key: str, default=_REQUIRED) -> int | None:
+        return self.checked(key, default, _is_integer, "an integer")
 
-    def wrap(self, builder, **kwargs):
+    def boolean(self, key: str, default=_REQUIRED) -> bool:
+        return self.checked(key, default, lambda v: isinstance(v, bool), "a boolean")
+
+    def snr(self, key: str, default=_REQUIRED) -> float:
+        """Linear value from either ``key`` or ``key_db`` (never both)."""
+        has_db = self.data.get(f"{key}_db") is not None
+        if not has_db:
+            if self.data.get(key) is None:
+                raise ValidationError(
+                    f"{self.path}.{key}: missing required field ({key} or {key}_db)")
+            return self.number(key)
+        if self.data.get(key) is not None:
+            raise ValidationError(f"{self.path}.{key}: give either {key} or {key}_db, not both")
+        value_db = self.number(f"{key}_db")
         try:
-            return builder(**kwargs)
-        except ValidationError as exc:
-            raise ValidationError(f"{self.path}: {exc}") from exc
+            return db_to_linear(value_db)
+        except OverflowError:
+            raise ValidationError(
+                f"{self.path}.{key}_db: {value_db} dB overflows a float") from None
+
+    def auth_prob(self, key: str, default=_REQUIRED):
+        """One probability, or an object mapping relay ids to probabilities."""
+        if not isinstance(self.data.get(key), dict):
+            return self.number(key, default)
+        node = _Node(self.data[key], f"{self.path}.{key}")
+        out = {}
+        for rid in node.data:
+            try:
+                relay = int(rid)
+            except ValueError:
+                raise ValidationError(
+                    f"{node.path}: keys must be integer relay ids, got {rid!r}") from None
+            out[relay] = node.number(rid)
+        return out
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _choice(kind: type[enum.Enum]):
+    values = [m.value for m in kind]
+
+    def read(node: _Node, key: str, default=_REQUIRED):
+        return kind(node.checked(key, default, values.__contains__,
+                                 f"one of {', '.join(values)}"))
+    return read
+
+
+def _dump_auth(auth):
+    return {str(k): v for k, v in sorted(auth.items())} if isinstance(auth, dict) else auth
+
+
+#: (reader, writer) overrides: the _db SNR aliases and sim.auth_prob's mapping
+#: form.  The fourth wire-only fact, a relay id defaulting to the relay's
+#: position, is passed by scenario_from_dict.
+_WIRE = {
+    **{(LinkModel, name): (_Node.snr, None)
+       for name in ("snr_avg", "snr_sd", "snr_sr", "snr_rd")},
+    (SimConfig, "auth_prob"): (_Node.auth_prob, _dump_auth),
+}
+
+
+class _Spec(typing.NamedTuple):
+    name: str
+    read: typing.Callable      # (node, key, default) -> value
+    write: typing.Callable | None   # value -> JSON value; None writes it as is
+    default: object
+
+
+def _specs(cls) -> tuple[_Spec, ...]:
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in dataclasses.fields(cls):
+        kind = next(t for t in (*typing.get_args(hints[f.name]), hints[f.name])
+                    if t is not type(None))
+        read, write = _WIRE.get((cls, f.name), (None, None))
+        if read is None and isinstance(kind, type) and issubclass(kind, enum.Enum):
+            read, write = _choice(kind), lambda member: member.value
+        read = read or {bool: _Node.boolean, int: _Node.integer, float: _Node.number}[kind]
+        default = _REQUIRED if f.default is dataclasses.MISSING else f.default
+        out.append(_Spec(f.name, read, write, default))
+    return tuple(out)
+
+
+_TABLE = {cls: _specs(cls) for cls in (*SECTIONS.values(), RelayProfile, LinkModel)}
+_WRITERS = {cls: tuple((spec.name, spec.write) for spec in specs if spec.write)
+            for cls, specs in _TABLE.items()
+            if any(spec.write or spec.default is None for spec in specs)}
+
+
+def field_names(cls) -> tuple[str, ...]:
+    """Wire names of a scenario dataclass's fields, in declaration order."""
+    return tuple(spec.name for spec in _TABLE[cls])
+
+
+def _read(node: _Node, cls, **defaults):
+    values = {}
+    for name, read, _, default in _TABLE[cls]:
+        values[name] = read(node, name, defaults.get(name, default))
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"{node.path}: {exc}") from exc
+
+
+def _write(obj) -> dict:
+    # The instance dict of these frozen dataclasses holds exactly their
+    # fields, in declaration order; it is read whole because this runs for
+    # every scenario_hash.
+    writers = _WRITERS.get(type(obj))
+    if writers is None:         # no field is optional or needs a writer
+        return dict(vars(obj))
+    out = {name: value for name, value in vars(obj).items() if value is not None}
+    for name, write in writers:
+        if name in out:
+            out[name] = write(out[name])
+    return out
 
 
 def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
-    root = _Field(data, "scenario")
+    root = _Node(data, "scenario")
     version = root.require("schema_version")
     if version != SCHEMA_VERSION:
         raise ValidationError(
             f"scenario.schema_version: unsupported version {version!r} "
             f"(this build reads {SCHEMA_VERSION})")
 
-    game_f = root.child("game")
-    game = game_f.wrap(
-        GameParams,
-        detect_rate=game_f.number("detect_rate"),
-        false_alarm_rate=game_f.number("false_alarm_rate"),
-        attack_cost=game_f.number("attack_cost"),
-        monitor_cost=game_f.number("monitor_cost"),
-        false_alarm_loss=game_f.number("false_alarm_loss"),
-        weight_info=game_f.number("weight_info", 0.5),
-        weight_security=game_f.number("weight_security", 0.5),
-    )
-
     relays = root.require("relays")
     if not isinstance(relays, list) or not relays:
         raise ValidationError("scenario.relays: expected a non-empty array")
     profiles, links = [], []
     for k, entry in enumerate(relays):
-        rf = _Field(entry, f"scenario.relays[{k}]")
-        profiles.append(rf.wrap(
-            RelayProfile,
-            id=rf.integer("id", k + 1),
-            info_asset=rf.number("info_asset"),
-            sec_asset=rf.number("sec_asset"),
-        ))
-        lf = rf.child("link")
-        links.append(lf.wrap(
-            LinkModel,
-            target_rate=lf.number("target_rate"),
-            snr_avg=lf.snr("snr_avg"),
-            pathloss_exp=lf.number("pathloss_exp"),
-            dist_sr=lf.number("dist_sr"),
-            dist_rd=lf.number("dist_rd"),
-            snr_sd=lf.snr("snr_sd"),
-            snr_sr=lf.snr("snr_sr"),
-            snr_rd=lf.snr("snr_rd"),
-        ))
+        node = _Node(entry, f"scenario.relays[{k}]")
+        profiles.append(_read(node, RelayProfile, id=k + 1))
+        links.append(_read(node.child("link"), LinkModel))
 
-    tf = root.child("throughput")
-    throughput = tf.wrap(
-        ThroughputConfig,
-        packet_bits=tf.integer("packet_bits"),
-        hash_bits=tf.integer("hash_bits"),
-        n_messages=tf.integer("n_messages", 1),
-        auth_prob=tf.number("auth_prob", 1.0),
-        presig_time=tf.number("presig_time", 0.0),
-        transfer_time=tf.number("transfer_time", None),
-        data_rate=tf.number("data_rate", None),
-        reaction_time=tf.number("reaction_time", None),
-        window=tf.integer("window", None),
-    )
+    # The sim section is optional; the others are required.
+    sections = {key: _read(root.child(key), cls) for key, cls in SECTIONS.items()
+                if key != "sim" or data.get(key) is not None}
 
-    sf = root.child("security")
-    security = sf.wrap(
-        SecurityRequirement,
-        max_compromised_fraction=sf.number("max_compromised_fraction"),
-    )
-
-    sim = None
-    if root.get("sim") is not None:
-        mf = root.child("sim")
-        auth = mf.get("auth_prob")
-        if isinstance(auth, dict):
-            auth = {int(rid): float(pa) for rid, pa in auth.items()}
-        try:
-            attacker_mode = AttackerMode(mf.get("attacker_mode", "equilibrium"))
-            source_mode = SourceMode(mf.get("source_mode", "equilibrium"))
-        except ValueError as exc:
-            raise ValidationError(f"scenario.sim: {exc}") from exc
-        sim = mf.wrap(
-            SimConfig,
-            episodes=mf.integer("episodes"),
-            packets_per_episode=mf.integer("packets_per_episode", 1),
-            seed=mf.integer("seed", 0),
-            attacker_mode=attacker_mode,
-            source_mode=source_mode,
-            auth_prob=auth,
-            refined_detection=bool(mf.get("refined_detection", False)),
-        )
-
-    annotations = root.get("annotations", [])
+    annotations = data.get("annotations", [])
     if not isinstance(annotations, list):
         raise ValidationError("scenario.annotations: expected an array of strings")
 
     return Scenario(
-        name=name or root.get("name", "unnamed"),
-        game=game,
+        name=name or data.get("name", "unnamed"),
         profiles=tuple(profiles),
         links=tuple(links),
-        throughput=throughput,
-        security=security,
-        sim=sim,
         annotations=tuple(str(a) for a in annotations),
+        **sections,
     )
 
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Canonical dict form; load(dump(s)) reproduces every semantic field."""
-    def drop_none(d: dict) -> dict:
-        return {k: v for k, v in d.items() if v is not None}
-
     out = {
         "schema_version": SCHEMA_VERSION,
         "name": s.name,
-        "game": {
-            "detect_rate": s.game.detect_rate,
-            "false_alarm_rate": s.game.false_alarm_rate,
-            "attack_cost": s.game.attack_cost,
-            "monitor_cost": s.game.monitor_cost,
-            "false_alarm_loss": s.game.false_alarm_loss,
-            "weight_info": s.game.weight_info,
-            "weight_security": s.game.weight_security,
-        },
-        "relays": [
-            {
-                "id": pr.id,
-                "info_asset": pr.info_asset,
-                "sec_asset": pr.sec_asset,
-                "link": {
-                    "target_rate": ln.target_rate,
-                    "snr_avg": ln.snr_avg,
-                    "pathloss_exp": ln.pathloss_exp,
-                    "dist_sr": ln.dist_sr,
-                    "dist_rd": ln.dist_rd,
-                    "snr_sd": ln.snr_sd,
-                    "snr_sr": ln.snr_sr,
-                    "snr_rd": ln.snr_rd,
-                },
-            }
-            for pr, ln in zip(s.profiles, s.links)
-        ],
-        "throughput": drop_none({
-            "packet_bits": s.throughput.packet_bits,
-            "hash_bits": s.throughput.hash_bits,
-            "n_messages": s.throughput.n_messages,
-            "auth_prob": s.throughput.auth_prob,
-            "presig_time": s.throughput.presig_time,
-            "transfer_time": s.throughput.transfer_time,
-            "data_rate": s.throughput.data_rate,
-            "reaction_time": s.throughput.reaction_time,
-            "window": s.throughput.window,
-        }),
-        "security": {
-            "max_compromised_fraction": s.security.max_compromised_fraction,
-        },
+        "relays": [{**_write(pr), "link": _write(ln)} for pr, ln in zip(s.profiles, s.links)],
         "annotations": list(s.annotations),
     }
-    if s.sim is not None:
-        auth = s.sim.auth_prob
-        if isinstance(auth, dict):
-            auth = {str(k): v for k, v in sorted(auth.items())}
-        out["sim"] = drop_none({
-            "episodes": s.sim.episodes,
-            "packets_per_episode": s.sim.packets_per_episode,
-            "seed": s.sim.seed,
-            "attacker_mode": s.sim.attacker_mode.value,
-            "source_mode": s.sim.source_mode.value,
-            "auth_prob": auth,
-            "refined_detection": s.sim.refined_detection,
-        })
+    for key in SECTIONS:
+        if getattr(s, key) is not None:
+            out[key] = _write(getattr(s, key))
     return out
 
 

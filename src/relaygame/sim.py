@@ -23,7 +23,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import ber_end_to_end, outage_closed_form, packet_success
+from .channel import (
+    ber_end_to_end,
+    outage_closed_form,
+    outage_event,
+    outage_thresholds,
+    packet_success,
+)
 from .errors import ValidationError
 from .game import EquilibriumSolution, MixedStrategy
 from .throughput import (
@@ -275,15 +281,13 @@ def run_simulation(
     alpha = np.array([ln.pathloss_exp for ln in links])
     mean_sr = np.array([ln.dist_sr for ln in links]) ** -alpha
     mean_rd = np.array([ln.dist_rd for ln in links]) ** -alpha
-    snr = np.array([ln.snr_avg for ln in links])[selected]
-    rate = np.array([ln.target_rate for ln in links])[selected]
-    g_sd = raw_gains[:, 0]
-    g_sr = raw_gains[:, 1] * mean_sr[selected]
-    g_rd = raw_gains[:, 2] * mean_rd[selected]
-    direct = np.log2(1.0 + g_sd * snr)
-    first_hop = 0.5 * np.log2(1.0 + g_sr * snr)
-    mrc = 0.5 * np.log2(1.0 + (g_sd + g_rd) * snr)
-    outage = np.maximum(direct, np.minimum(first_hop, mrc)) < rate
+    t_direct, t_relay = outage_thresholds(np.array([ln.target_rate for ln in links]))
+    outage = outage_event(
+        raw_gains[:, 0],
+        raw_gains[:, 1] * mean_sr[selected],
+        raw_gains[:, 2] * mean_rd[selected],
+        np.array([ln.snr_avg for ln in links])[selected],
+        t_direct[selected], t_relay[selected])
 
     packets_total = episodes * ppe
     compromised_total = int(compromised.sum())
@@ -380,6 +384,21 @@ class CompromisePoint:
     seed: int
 
 
+def most_attacked_relay(profiles, solution: EquilibriumSolution) -> int:
+    """Id of the relay the attacker targets most; ties go to the smaller id."""
+    ids = [pr.id for pr in profiles]
+    return ids[max(range(len(ids)), key=lambda j: (solution.attacker.probs[j], -ids[j]))]
+
+
+def check_auth_grid(grid: Sequence[float]) -> None:
+    """Reject an empty authentication grid or a value outside [0, 1]."""
+    if len(grid) == 0:
+        raise ValidationError("authentication grid must not be empty")
+    for pa in grid:
+        if not 0.0 <= pa <= 1.0:
+            raise ValidationError(f"grid value {pa} outside [0, 1]")
+
+
 def child_seed(master: int, index: int) -> int:
     """Deterministic per-grid-point seed split of a master seed."""
     return int(np.random.SeedSequence([master, index]).generate_state(1, np.uint64)[0])
@@ -398,17 +417,10 @@ def estimate_compromise_curve(
     column is the compromise rate conditional on the conditioning relay
     (default: the relay the attacker targets most).
     """
-    if len(grid) == 0:
-        raise ValidationError("authentication grid must not be empty")
-    for pa in grid:
-        if not 0.0 <= pa <= 1.0:
-            raise ValidationError(f"grid value {pa} outside [0, 1]")
-    profiles = scenario.profiles
-    ids = [pr.id for pr in profiles]
+    check_auth_grid(grid)
+    ids = [pr.id for pr in scenario.profiles]
     if relay_id is None:
-        j_star = max(range(len(ids)),
-                     key=lambda j: (solution.attacker.probs[j], -ids[j]))
-        relay_id = ids[j_star]
+        relay_id = most_attacked_relay(scenario.profiles, solution)
     elif relay_id not in ids:
         raise ValidationError(f"unknown relay id {relay_id}")
     p_star = solution.attacker.probs[ids.index(relay_id)]

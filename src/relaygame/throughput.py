@@ -48,8 +48,8 @@ class ThroughputConfig:
 
     packet_bits: int
     hash_bits: int
-    n_messages: int
-    auth_prob: float
+    n_messages: int = 1
+    auth_prob: float = 1.0
     presig_time: float = 0.0
     transfer_time: float | None = None
     data_rate: float | None = None

@@ -2,6 +2,8 @@
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +20,10 @@ from relaygame.channel import (
     mutual_info_mrc,
     mutual_info_source_relay,
     outage_closed_form,
+    outage_event,
     outage_monte_carlo,
     outage_sr_link,
+    outage_thresholds,
     packet_success,
 )
 from relaygame.errors import ValidationError
@@ -100,6 +104,29 @@ def test_outage_closed_form_matches_quadrature(gamma, d_rd):
         outage_exact_by_quadrature(lm), abs=1e-9)
 
 
+def outage_by_mpmath(lm: LinkModel) -> mpmath.mpf:
+    """The quadrature oracle above, at 50 digits."""
+    with mpmath.workdps(50):
+        gamma, r = mpmath.mpf(lm.snr_avg), mpmath.mpf(lm.target_rate)
+        t1 = (2 ** r - 1) / gamma
+        t2 = (2 ** (2 * r) - 1) / gamma
+        s = mpmath.mpf(lm.dist_sr) ** mpmath.mpf(lm.pathloss_exp)
+        w = mpmath.mpf(lm.dist_rd) ** mpmath.mpf(lm.pathloss_exp)
+        first_hop_fails = 1 - mpmath.exp(-s * t2)
+        return mpmath.quad(lambda x: mpmath.exp(-x) * (
+            first_hop_fails + (1 - first_hop_fails) * (1 - mpmath.exp(-w * (t2 - x)))),
+            [0, t1])
+
+
+@pytest.mark.parametrize("gamma", [10.0, 100.0])
+@pytest.mark.parametrize("gap", [2e-9, -2e-9, 1e-8, 5.7e-6])
+def test_outage_closed_form_next_to_singularity_matches_mpmath(gamma, gap):
+    # pathloss_exp = 1 puts dist_rd^pathloss_exp at exactly 1 + gap.
+    lm = link(rate=1.0, snr=gamma, alpha=1.0, d_rd=1.0 + gap)
+    exact = outage_by_mpmath(lm)
+    assert abs(outage_closed_form(lm) - exact) <= 1e-12 * exact
+
+
 def test_outage_closed_form_rejects_bad_snr():
     with pytest.raises(ValidationError):
         link(snr=0.0)
@@ -107,7 +134,7 @@ def test_outage_closed_form_rejects_bad_snr():
 
 def test_outage_closed_form_stays_in_range_on_grid():
     for gamma in (0.5, 2.0, 10.0, 100.0):
-        for rate in (0.1, 0.5, 1.0, 2.0, 4.0):
+        for rate in (0.1, 0.5, 1.0, 2.0, 4.0, 12.0):
             for d_sr in (0.5, 1.0, 2.0):
                 for d_rd in (0.5, 1.0, 2.0):
                     for alpha in (1.0, 2.0, 3.0):
@@ -152,21 +179,26 @@ def test_ber_diversity_value():
 def ber_diversity_by_quadrature(snr_sd: float, snr_rd: float) -> float:
     """Independent oracle: average the BPSK error Q(sqrt(2x)) over the MRC SNR.
 
-    The combined SNR is the sum of two independent exponentials with distinct
-    means a and b, whose density is (e^{-x/a} - e^{-x/b}) / (a - b).
+    The combined SNR is the sum of two independent exponentials with means a
+    and b, whose density is (e^{-x/a} - e^{-x/b}) / (a - b).  It is taken as
+    e^{-x/a} * x/(ab) * expm1(y)/y with y = -x(a - b)/(ab) and a >= b, which
+    is exact at a == b (where expm1(y)/y = 1) and does not cancel near it.
     """
-    a, b = snr_sd, snr_rd
+    a, b = max(snr_sd, snr_rd), min(snr_sd, snr_rd)
+    c = (a - b) / (a * b)
 
     def integrand(x: float) -> float:
         q = 0.5 * math.erfc(math.sqrt(x))
-        return q * (math.exp(-x / a) - math.exp(-x / b)) / (a - b)
+        y = -x * c
+        return q * math.exp(-x / a) * x / (a * b) * (math.expm1(y) / y if y else 1.0)
 
     value, _ = quad(integrand, 0.0, math.inf, epsabs=1e-13, epsrel=1e-12)
     return value
 
 
 @pytest.mark.parametrize("snr_sd,snr_rd",
-                         [(1.0, 2.0), (0.5, 3.0), (2.0, 10.0), (5.0, 0.2), (10.0, 40.0)])
+                         [(1.0, 2.0), (0.5, 3.0), (2.0, 10.0), (5.0, 0.2), (10.0, 40.0),
+                          (1.0, 1.0), (5.0, 5.0 * (1 + 1e-9)), (40.0, 40.0 * (1 + 1e-9))])
 def test_ber_diversity_matches_quadrature(snr_sd, snr_rd):
     assert ber_diversity(snr_sd, snr_rd) == pytest.approx(
         ber_diversity_by_quadrature(snr_sd, snr_rd), abs=1e-9)
@@ -253,3 +285,41 @@ def test_cooperative_outage_event_matches_scalar_forms():
     assert not cooperative_outage_event(ChannelDraw(1.0, 0.0, 0.0), lm)
     with pytest.raises(ValidationError):
         ChannelDraw(-0.1, 0.0, 0.0)
+
+
+def outage_by_log_form(g_sd: float, g_sr: float, g_rd: float, lm: LinkModel) -> bool:
+    """The event from its mutual-information definition."""
+    snr = lm.snr_avg
+    relay_path = min(mutual_info_source_relay(g_sr, snr), mutual_info_mrc(g_sd, g_rd, snr))
+    return max(mutual_info_direct(g_sd, snr), relay_path) < lm.target_rate
+
+
+@pytest.mark.parametrize("lm", [link(), link(rate=0.5, snr=3.0, alpha=3.0, d_sr=0.7, d_rd=1.8),
+                                link(rate=2.0, snr=30.0, alpha=2.5, d_sr=1.9, d_rd=0.4)])
+def test_outage_event_matches_log_form_on_seeded_draws(lm):
+    rng = np.random.default_rng(11)
+    g_sd, g_sr, g_rd = rng.exponential(1.0, (3, 20_000))
+    events = outage_event(g_sd, g_sr, g_rd, lm.snr_avg, *outage_thresholds(lm.target_rate))
+    expected = [outage_by_log_form(*g, lm) for g in zip(g_sd, g_sr, g_rd)]
+    assert 0 < events.sum() < len(events)
+    assert events.tolist() == expected
+
+
+@pytest.mark.parametrize("rate", [1.0, 2.0])
+@pytest.mark.parametrize("snr", [1.0, 2.0, 4.0])
+def test_outage_event_matches_log_form_at_thresholds(rate, snr):
+    # With integer rates and power-of-two SNRs a factor of 1 puts g * snr
+    # exactly on its threshold (2^R - 1 or 2^{2R} - 1), where that link is
+    # not in outage; the other factors sit just off or well off it.
+    lm = link(rate=rate, snr=snr)
+    t_direct, t_relay = (2.0 ** rate - 1.0) / snr, (2.0 ** (2 * rate) - 1.0) / snr
+    near = (0.0, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0)
+    for f_sd in near:
+        for f_sr in near:
+            for f_rd in near:
+                g_sd, g_sr = f_sd * t_direct, f_sr * t_relay
+                g_rd = max(0.0, f_rd * t_relay - g_sd)
+                event = bool(outage_event(g_sd, g_sr, g_rd, snr,
+                                          *outage_thresholds(rate)))
+                assert event == outage_by_log_form(g_sd, g_sr, g_rd, lm), (g_sd, g_sr, g_rd)
+                assert event == cooperative_outage_event(ChannelDraw(g_sd, g_sr, g_rd), lm)

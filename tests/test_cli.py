@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from relaygame.cli import main
+from relaygame.cli import OVERRIDE_KEYS, main
 from relaygame.report import (
     build_solve_report,
     build_sweep_auth_report,
@@ -67,6 +67,33 @@ def test_invalid_override_key(capsys):
                            "--set", "bogus.key=1")
     assert code == 2
     assert "unknown override key" in err
+
+
+def test_override_keys_are_the_scenario_fields():
+    assert OVERRIDE_KEYS == {
+        "name",
+        "game.detect_rate", "game.false_alarm_rate", "game.attack_cost",
+        "game.monitor_cost", "game.false_alarm_loss", "game.weight_info",
+        "game.weight_security",
+        "throughput.packet_bits", "throughput.hash_bits", "throughput.n_messages",
+        "throughput.auth_prob", "throughput.presig_time", "throughput.transfer_time",
+        "throughput.data_rate", "throughput.reaction_time", "throughput.window",
+        "security.max_compromised_fraction",
+        "sim.episodes", "sim.packets_per_episode", "sim.seed", "sim.attacker_mode",
+        "sim.source_mode", "sim.auth_prob", "sim.refined_detection",
+    }
+
+
+@pytest.mark.parametrize("override,path", [
+    ("throughput.presig_time=NaN", "scenario.throughput.presig_time"),
+    ("game.attack_cost=-Infinity", "scenario.game.attack_cost"),
+    ('sim.refined_detection="no"', "scenario.sim.refined_detection"),
+    ('sim.auth_prob={"a": 0.5}', "scenario.sim.auth_prob"),
+])
+def test_bad_override_values_exit_two(capsys, override, path):
+    code, _, err = run_cli(capsys, "solve", "--scenario", "military", "--set", override)
+    assert code == 2
+    assert path in err
 
 
 def test_bad_grid_is_validation_error(capsys):

@@ -62,6 +62,31 @@ def test_cell_utilities_examples(military_params):
         pytest.approx((0.99, -1.0))
 
 
+@given(detect=st.floats(0.0, 1.0), false_alarm=st.floats(0.0, 1.0),
+       costs=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+       info=st.floats(0.0, 10.0), sec=st.floats(0.0, 10.0))
+@settings(max_examples=100, deadline=None)
+def test_cell_utilities_are_per_relay_utility_at_corners(detect, false_alarm, costs, info, sec):
+    attack_cost, monitor_cost, false_alarm_loss = costs
+    params = GameParams(detect_rate=detect, false_alarm_rate=false_alarm,
+                        attack_cost=attack_cost, monitor_cost=monitor_cost,
+                        false_alarm_loss=false_alarm_loss)
+    profile = RelayProfile(id=1, info_asset=info, sec_asset=sec)
+    asset = combined_asset(profile, params)
+    # The four pure-action cells of one relay, written out from the model.
+    cells = {
+        (True, True): ((1 - 2 * detect - attack_cost) * asset,
+                       -(1 - 2 * detect + monitor_cost) * asset),
+        (True, False): ((1 - attack_cost) * asset, -asset),
+        (False, True): (0.0, -(false_alarm * false_alarm_loss + monitor_cost) * asset),
+        (False, False): (0.0, 0.0),
+    }
+    for (attack, select), expected in cells.items():
+        cell = cell_utilities(params, asset, attack, select)
+        assert cell == per_relay_utility(profile, float(attack), float(select), params)
+        assert cell == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
 def test_total_utilities_degenerate(military_params):
     profiles = make_profiles([1.0, 0.75, 0.5, 0.25])
     on_first = MixedStrategy((1.0, 0.0, 0.0, 0.0))

@@ -1,6 +1,7 @@
 """Scenario presets, file loading, validation messages and round trips."""
 
 import json
+import math
 
 import pytest
 
@@ -116,3 +117,71 @@ def test_canonical_json_is_stable(military):
     b = canonical_json(scenario_to_dict(load_scenario("military")))
     assert a == b
     assert json.loads(a)["name"] == "military"
+
+
+def test_preset_hashes_are_pinned(military, commercial):
+    # A change to the field table that alters the canonical dict shows here.
+    assert scenario_hash(military) == \
+        "8a81aa5354b8762fbf07b1f78c37ec3f52aba2dc074c936487831feaceee29bc"
+    assert scenario_hash(commercial) == \
+        "636eab95fd4d22c30a81ba4356364451e2f16f8ad2f052893ae85b8527a59a3e"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("section,key", [("throughput", "presig_time"),
+                                         ("game", "weight_info"),
+                                         ("link", "snr_avg"), ("link", "snr_sd_db")])
+def test_non_finite_numbers_rejected(military, bad, section, key):
+    data = scenario_to_dict(military)
+    node = data["relays"][0]["link"] if section == "link" else data[section]
+    if key == "snr_sd_db":
+        del node["snr_sd"]
+    node[key] = bad
+    # Through JSON text, which json.loads reads with NaN and Infinity allowed.
+    data = json.loads(json.dumps(data))
+    where = r"relays\[0\]\.link" if section == "link" else section
+    with pytest.raises(ValidationError, match=rf"scenario\.{where}\.{key}: expected a finite"):
+        scenario_from_dict(data)
+
+
+def test_db_value_past_float_range_rejected(military):
+    data = scenario_to_dict(military)
+    link = data["relays"][0]["link"]
+    del link["snr_rd"]
+    link["snr_rd_db"] = 1e4
+    with pytest.raises(ValidationError, match=r"relays\[0\]\.link\.snr_rd_db"):
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("flag", ["no", "false", 0, 1])
+def test_refined_detection_must_be_boolean(military, flag):
+    data = scenario_to_dict(military)
+    data["sim"]["refined_detection"] = flag
+    with pytest.raises(ValidationError, match=r"scenario\.sim\.refined_detection: expected a boolean"):
+        scenario_from_dict(data)
+    data["sim"]["refined_detection"] = True
+    assert scenario_from_dict(data).sim.refined_detection is True
+
+
+def test_auth_prob_keys_must_be_relay_ids(military):
+    data = scenario_to_dict(military)
+    data["sim"]["auth_prob"] = {"a": 0.5}
+    with pytest.raises(ValidationError, match=r"scenario\.sim\.auth_prob"):
+        scenario_from_dict(data)
+    data["sim"]["auth_prob"] = {"1": 0.5, "2": 0.25, "3": 0.0, "4": 1.0}
+    loaded = scenario_from_dict(data)
+    assert loaded.sim.auth_prob == {1: 0.5, 2: 0.25, 3: 0.0, 4: 1.0}
+    assert scenario_to_dict(loaded)["sim"]["auth_prob"] == data["sim"]["auth_prob"]
+
+
+def test_null_means_absent(military):
+    data = scenario_to_dict(military)
+    data["throughput"]["n_messages"] = None
+    data["game"]["weight_info"] = None
+    data["sim"]["attacker_mode"] = None
+    data["relays"][1]["id"] = None
+    loaded = scenario_from_dict(data)
+    assert loaded.throughput.n_messages == 1
+    assert loaded.game.weight_info == 0.5
+    assert loaded.sim.attacker_mode.value == "equilibrium"
+    assert loaded.profiles[1].id == 2
