@@ -302,24 +302,27 @@ def field_names(cls) -> tuple[str, ...]:
 def _read(node: _Node, cls, **defaults):
     values = {}
     for name, read, _, default in _TABLE[cls]:
-        values[name] = read(node, name, defaults.get(name, default))
+        values[name] = read(node, name, defaults.get(name, default) if defaults else default)
     try:
         return cls(**values)
     except ValidationError as exc:
         raise ValidationError(f"{node.path}: {exc}") from exc
 
 
-def _write(obj) -> dict:
+def _write(*objs) -> list[dict]:
+    """JSON objects of instances of one dataclass of the table."""
     # The instance dict of these frozen dataclasses holds exactly their
-    # fields, in declaration order; it is read whole because this runs for
-    # every scenario_hash.
-    writers = _WRITERS.get(type(obj))
+    # fields, in declaration order; it is read whole, and a whole relay list
+    # at a time, because this runs for every scenario_hash.
+    writers = _WRITERS.get(type(objs[0]))
     if writers is None:         # no field is optional or needs a writer
-        return dict(vars(obj))
-    out = {name: value for name, value in vars(obj).items() if value is not None}
-    for name, write in writers:
-        if name in out:
-            out[name] = write(out[name])
+        return [vars(obj).copy() for obj in objs]
+    out = [{name: value for name, value in vars(obj).items() if value is not None}
+           for obj in objs]
+    for fields in out:
+        for name, write in writers:
+            if name in fields:
+                fields[name] = write(fields[name])
     return out
 
 
@@ -359,15 +362,18 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Canonical dict form; load(dump(s)) reproduces every semantic field."""
+    relays = _write(*s.profiles)
+    for relay, link in zip(relays, _write(*s.links)):
+        relay["link"] = link
     out = {
         "schema_version": SCHEMA_VERSION,
         "name": s.name,
-        "relays": [{**_write(pr), "link": _write(ln)} for pr, ln in zip(s.profiles, s.links)],
+        "relays": relays,
         "annotations": list(s.annotations),
     }
     for key in SECTIONS:
         if getattr(s, key) is not None:
-            out[key] = _write(getattr(s, key))
+            out[key], = _write(getattr(s, key))
     return out
 
 
