@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import math
@@ -50,6 +51,12 @@ class Scenario:
         ids = [pr.id for pr in self.profiles]
         if len(set(ids)) != len(ids):
             raise ValidationError(f"duplicate relay ids: {ids}")
+
+    @functools.cached_property
+    def _hash(self) -> str:
+        # A scenario is frozen, so scenario_hash is worked out once and kept:
+        # the provenance of every report bundle asks for it.
+        return hashlib.sha256(canonical_json(scenario_to_dict(self)).encode()).hexdigest()
 
 
 def db_to_linear(value_db: float) -> float:
@@ -230,11 +237,15 @@ class _Node:
         node = _Node(self.data[key], f"{self.path}.{key}")
         out = {}
         for rid in node.data:
+            # Only the canonical spelling of an id: "01" or " 1" would name
+            # the same relay as "1" and silently overwrite it.
             try:
                 relay = int(rid)
-            except ValueError:
+            except (TypeError, ValueError):
+                relay = None
+            if relay is None or str(relay) != str(rid) or relay in out:
                 raise ValidationError(
-                    f"{node.path}: keys must be integer relay ids, got {rid!r}") from None
+                    f"{node.path}: keys must be distinct integer relay ids, got {rid!r}")
             out[relay] = node.number(rid)
         return out
 
@@ -289,9 +300,6 @@ def _specs(cls) -> tuple[_Spec, ...]:
 
 
 _TABLE = {cls: _specs(cls) for cls in (*SECTIONS.values(), RelayProfile, LinkModel)}
-_WRITERS = {cls: tuple((spec.name, spec.write) for spec in specs if spec.write)
-            for cls, specs in _TABLE.items()
-            if any(spec.write or spec.default is None for spec in specs)}
 
 
 def field_names(cls) -> tuple[str, ...]:
@@ -309,20 +317,13 @@ def _read(node: _Node, cls, **defaults):
         raise ValidationError(f"{node.path}: {exc}") from exc
 
 
-def _write(*objs) -> list[dict]:
-    """JSON objects of instances of one dataclass of the table."""
-    # The instance dict of these frozen dataclasses holds exactly their
-    # fields, in declaration order; it is read whole, and a whole relay list
-    # at a time, because this runs for every scenario_hash.
-    writers = _WRITERS.get(type(objs[0]))
-    if writers is None:         # no field is optional or needs a writer
-        return [vars(obj).copy() for obj in objs]
-    out = [{name: value for name, value in vars(obj).items() if value is not None}
-           for obj in objs]
-    for fields in out:
-        for name, write in writers:
-            if name in fields:
-                fields[name] = write(fields[name])
+def _write(obj) -> dict:
+    """JSON object of an instance of a dataclass of the table; None is left out."""
+    out = {}
+    for name, _, write, _ in _TABLE[type(obj)]:
+        value = getattr(obj, name)
+        if value is not None:
+            out[name] = write(value) if write else value
     return out
 
 
@@ -362,18 +363,16 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Canonical dict form; load(dump(s)) reproduces every semantic field."""
-    relays = _write(*s.profiles)
-    for relay, link in zip(relays, _write(*s.links)):
-        relay["link"] = link
     out = {
         "schema_version": SCHEMA_VERSION,
         "name": s.name,
-        "relays": relays,
+        "relays": [{**_write(pr), "link": _write(link)}
+                   for pr, link in zip(s.profiles, s.links)],
         "annotations": list(s.annotations),
     }
     for key in SECTIONS:
         if getattr(s, key) is not None:
-            out[key], = _write(getattr(s, key))
+            out[key] = _write(getattr(s, key))
     return out
 
 
@@ -382,7 +381,7 @@ def canonical_json(data: dict) -> str:
 
 
 def scenario_hash(s: Scenario) -> str:
-    return hashlib.sha256(canonical_json(scenario_to_dict(s)).encode()).hexdigest()
+    return s._hash
 
 
 def load_scenario(source: str | Path) -> Scenario:

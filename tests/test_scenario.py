@@ -1,5 +1,7 @@
 """Scenario presets, file loading, validation messages and round trips."""
 
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -53,6 +55,11 @@ def test_round_trip(tmp_path, military):
 
 def test_hash_changes_with_content(military, commercial):
     assert scenario_hash(military) != scenario_hash(commercial)
+    # The hash is kept on the scenario; a copy with other content gets its own.
+    renamed = dataclasses.replace(military, name="renamed")
+    assert scenario_hash(renamed) != scenario_hash(military)
+    assert scenario_hash(renamed) == hashlib.sha256(
+        canonical_json(scenario_to_dict(renamed)).encode()).hexdigest()
 
 
 def test_db_fields_convert(tmp_path, military):
@@ -165,9 +172,11 @@ def test_refined_detection_must_be_boolean(military, flag):
 
 def test_auth_prob_keys_must_be_relay_ids(military):
     data = scenario_to_dict(military)
-    data["sim"]["auth_prob"] = {"a": 0.5}
-    with pytest.raises(ValidationError, match=r"scenario\.sim\.auth_prob"):
-        scenario_from_dict(data)
+    for keys in ({"a": 0.5}, {"1": 0.9, "01": 0.1}, {" 1": 0.5}, {"+1": 0.5},
+                 {"1_0": 0.5}, {"1.0": 0.5}, {"None": 0.5}, {1: 0.9, "1": 0.1}):
+        data["sim"]["auth_prob"] = keys
+        with pytest.raises(ValidationError, match=r"scenario\.sim\.auth_prob"):
+            scenario_from_dict(data)
     data["sim"]["auth_prob"] = {"1": 0.5, "2": 0.25, "3": 0.0, "4": 1.0}
     loaded = scenario_from_dict(data)
     assert loaded.sim.auth_prob == {1: 0.5, 2: 0.25, 3: 0.0, 4: 1.0}
