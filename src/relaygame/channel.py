@@ -19,6 +19,10 @@ import numpy as np
 
 from .errors import ValidationError
 
+#: Fading realisations the outage Monte Carlo draws per block.  Draws, and so
+#: every simulated outage count, depend on it; report provenance records it.
+OUTAGE_CHUNK = 1 << 15
+
 
 @dataclass(frozen=True)
 class LinkModel:
@@ -137,6 +141,20 @@ def outage_closed_form(link: LinkModel) -> float:
     return 1.0 - v + term / (1.0 - x)
 
 
+def count_outages(rng: np.random.Generator, link: LinkModel, trials: int) -> int:
+    """Outage events among ``trials`` fading realisations of ``link`` (module
+    convention), drawn OUTAGE_CHUNK at a time so memory stays bounded."""
+    mean_sr = link.dist_sr ** -link.pathloss_exp
+    mean_rd = link.dist_rd ** -link.pathloss_exp
+    thresholds = outage_thresholds(link.target_rate)
+    hits = 0
+    for start in range(0, trials, OUTAGE_CHUNK):
+        g = rng.standard_exponential((3, min(OUTAGE_CHUNK, trials - start)))
+        hits += int(np.count_nonzero(outage_event(
+            g[0], g[1] * mean_sr, g[2] * mean_rd, link.snr_avg, *thresholds)))
+    return hits
+
+
 def outage_monte_carlo(link: LinkModel, trials: int, seed: int) -> OutageEstimate:
     """Estimate the cooperative outage probability by simulation.
 
@@ -145,15 +163,7 @@ def outage_monte_carlo(link: LinkModel, trials: int, seed: int) -> OutageEstimat
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    alpha = link.pathloss_exp
-    g_sd = rng.exponential(1.0, trials)
-    g_sr = rng.exponential(link.dist_sr ** -alpha, trials)
-    g_rd = rng.exponential(link.dist_rd ** -alpha, trials)
-
-    hits = outage_event(g_sd, g_sr, g_rd, link.snr_avg, *outage_thresholds(link.target_rate))
-
-    p_hat = float(hits.mean())
+    p_hat = count_outages(np.random.default_rng(seed), link, trials) / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return OutageEstimate(probability=p_hat, stderr=stderr, trials=trials, seed=seed)
 

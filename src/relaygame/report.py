@@ -1,8 +1,8 @@
 """Report assembly: solve/sweep/simulate bundles with provenance, JSON and CSV.
 
 Every bundle carries a provenance block (scenario hash, seed, tool version,
-timing-model choice, RNG identifier) from which all emitted numbers are
-reproducible.  Bundles contain no wall-clock data, so equal inputs serialize
+timing-model choice, RNG identifier, outage Monte Carlo block size) from which
+all emitted numbers are reproducible.  Bundles contain no wall-clock data, so equal inputs serialize
 byte-identically.
 """
 
@@ -15,6 +15,7 @@ from typing import Sequence
 
 from . import __version__
 from .channel import (
+    OUTAGE_CHUNK,
     ber_end_to_end,
     outage_closed_form,
     outage_monte_carlo,
@@ -69,6 +70,7 @@ def provenance(scenario: Scenario, seed: int | None = None) -> dict:
         "timing_model": scenario.throughput.timing_model,
         "p_c_binding": "selected-relay",
         "rng": RNG_ALGORITHM,
+        "outage_chunk": OUTAGE_CHUNK,
         "fading_convention": FADING_CONVENTION,
     }
 

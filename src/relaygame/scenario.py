@@ -230,6 +230,13 @@ class _Node:
             raise ValidationError(
                 f"{self.path}.{key}_db: {value_db} dB overflows a float") from None
 
+    def rate(self, key: str, default=_REQUIRED) -> float:
+        """A target rate R whose relay-path threshold 2^(2R) fits a float."""
+        value = self.number(key, default)
+        if 2.0 * value >= sys.float_info.max_exp:
+            raise self.wrong(key, "a rate below 512 (2^(2R) must fit a float)", value)
+        return value
+
     def auth_prob(self, key: str, default=_REQUIRED):
         """One probability, or an object mapping relay ids to probabilities."""
         if not isinstance(self.data.get(key), dict):
@@ -267,12 +274,14 @@ def _dump_auth(auth):
     return {str(k): v for k, v in sorted(auth.items())} if isinstance(auth, dict) else auth
 
 
-#: (reader, writer) overrides: the _db SNR aliases and sim.auth_prob's mapping
-#: form.  The fourth wire-only fact, a relay id defaulting to the relay's
-#: position, is passed by scenario_from_dict.
+#: (reader, writer) overrides: the _db SNR aliases, the target-rate range the
+#: outage thresholds can carry and sim.auth_prob's mapping form.  The last
+#: wire-only fact, a relay id defaulting to the relay's position, is passed by
+#: scenario_from_dict.
 _WIRE = {
     **{(LinkModel, name): (_Node.snr, None)
        for name in ("snr_avg", "snr_sd", "snr_sr", "snr_rd")},
+    (LinkModel, "target_rate"): (_Node.rate, None),
     (SimConfig, "auth_prob"): (_Node.auth_prob, _dump_auth),
 }
 
@@ -352,8 +361,9 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
     if not isinstance(annotations, list):
         raise ValidationError("scenario.annotations: expected an array of strings")
 
+    stated_name = root.checked("name", "unnamed", lambda v: isinstance(v, str), "a string")
     return Scenario(
-        name=name or data.get("name", "unnamed"),
+        name=name or stated_name,
         profiles=tuple(profiles),
         links=tuple(links),
         annotations=tuple(str(a) for a in annotations),

@@ -8,28 +8,33 @@ analytical bound (1 - p_a) * p_i* is directly testable.  An optional refined
 mode additionally lets attacks slip past authenticated handling with
 probability (1 - detect_rate); it is exploratory and off by default.
 
-Determinism: one PCG64 generator seeded from SimConfig.seed, with a fixed draw
-order (attacker uniforms, source uniforms, per-packet authentication uniforms,
-per-packet error uniforms, per-episode channel gains, then refined-mode
-detection uniforms when enabled).  Equal configs give byte-identical reports.
+Count-level engine: every counter but outage is a sum of independent
+categorical or Bernoulli draws, so one PCG64 generator seeded from
+SimConfig.seed draws the sums, in this order (vectors over the relay list):
+the K x K (target, selected) episode table as one Multinomial(E, P x Q), whose
+row sums are the attacker counts, column sums n_j the source counts and
+diagonal h_j the hits (P is 1/K in uniform mode, Q one-hot in best-utility
+mode); authenticated hit packets a_j ~ Bin(h_j * packets, p_a), the other
+authenticated packets Bin((n_j - h_j) * packets, p_a), compromised =
+h_j * packets - a_j (refined mode adds Bin(a_j, 1 - detect_rate)); errored
+packets Bin(n_j * packets, 1 - P_c); then outage, relay by relay: n_j fading
+realisations of the relay's link, one per episode, in blocks of
+channel.OUTAGE_CHUNK, so the simulated rate stays an independent check of the
+closed form.  Memory is O(K^2 + OUTAGE_CHUNK) whatever the episode count, and
+equal configs give byte-identical reports.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import (
-    ber_end_to_end,
-    outage_closed_form,
-    outage_event,
-    outage_thresholds,
-    packet_success,
-)
+from .channel import ber_end_to_end, count_outages, outage_closed_form, packet_success
 from .errors import ValidationError
 from .game import EquilibriumSolution, MixedStrategy
 from .throughput import (
@@ -39,7 +44,7 @@ from .throughput import (
     throughput_for_mode,
 )
 
-RNG_ALGORITHM = "numpy-pcg64"
+RNG_ALGORITHM = "numpy-pcg64/counts-1"
 
 
 class AttackerMode(enum.Enum):
@@ -75,6 +80,8 @@ class SimConfig:
         if self.packets_per_episode < 1:
             raise ValidationError(
                 f"packets_per_episode must be >= 1, got {self.packets_per_episode}")
+        if self.episodes * self.packets_per_episode >= 2 ** 63:
+            raise ValidationError("episodes x packets_per_episode must stay below 2^63")
         if not 0 <= self.seed < 2 ** 64:
             raise ValidationError(f"seed must fit in 64 bits, got {self.seed}")
         if isinstance(self.auth_prob, (int, float)):
@@ -131,38 +138,8 @@ class SimReport:
     notes: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "episodes": self.episodes,
-            "packets_per_episode": self.packets_per_episode,
-            "attacker_mode": self.attacker_mode,
-            "source_mode": self.source_mode,
-            "refined_detection": self.refined_detection,
-            "rng_algorithm": self.rng_algorithm,
-            "auth_prob": [list(pair) for pair in self.auth_prob],
-            "attacker_counts": [list(pair) for pair in self.attacker_counts],
-            "source_counts": [list(pair) for pair in self.source_counts],
-            "packets_total": self.packets_total,
-            "compromised_total": self.compromised_total,
-            "compromise_rate": self.compromise_rate,
-            "compromise_stderr": self.compromise_stderr,
-            "authenticated_total": self.authenticated_total,
-            "authenticated_rate": self.authenticated_rate,
-            "auth_prob_effective": self.auth_prob_effective,
-            "packet_error_rate": self.packet_error_rate,
-            "packet_success_rate": self.packet_success_rate,
-            "per_relay": [vars(r).copy() for r in self.per_relay],
-            "throughput": [list(row) for row in self.throughput],
-            "notes": list(self.notes),
-        }
-
-
-def _cumulative(probs: Sequence[float]) -> list[float]:
-    cum, total = [], 0.0
-    for p in probs:
-        total += p
-        cum.append(total)
-    return cum
+        """Plain-data form; its tuples serialize as JSON arrays."""
+        return asdict(self)
 
 
 def draw_attacker_target(
@@ -186,7 +163,7 @@ def draw_attacker_target(
     if mode is AttackerMode.UNIFORM:
         cum = [(j + 1) / k for j in range(k)]
     else:
-        cum = _cumulative(probs)
+        cum = list(accumulate(probs))
     return ids[min(bisect_right(cum, u), k - 1)]
 
 
@@ -205,9 +182,12 @@ def _resolve_auth(scenario, sim: SimConfig, ids: Sequence[int]) -> dict[int, flo
         return {i: scenario.throughput.auth_prob for i in ids}
     if isinstance(sim.auth_prob, (int, float)):
         return {i: float(sim.auth_prob) for i in ids}
+    unknown = [rid for rid in sim.auth_prob if rid not in ids]
+    if unknown:
+        raise ValidationError(f"scenario.sim.auth_prob: relay ids {unknown} name no relay")
     missing = [i for i in ids if i not in sim.auth_prob]
     if missing:
-        raise ValidationError(f"auth_prob mapping misses relays {missing}")
+        raise ValidationError(f"scenario.sim.auth_prob: mapping misses relays {missing}")
     return {i: float(sim.auth_prob[i]) for i in ids}
 
 
@@ -216,6 +196,16 @@ def _rate_stderr(count: int, total: int) -> tuple[float, float]:
         return 0.0, 0.0
     rate = count / total
     return rate, float(np.sqrt(rate * (1.0 - rate) / total))
+
+
+def draw_selection_table(
+    rng: np.random.Generator, episodes: int, p_attack, q_select
+) -> np.ndarray:
+    """Episode counts by (target, selected) relay index, one Multinomial(episodes,
+    P x Q) draw; renormalised so the last cell, numpy's remainder, absorbs only
+    round-off."""
+    cells = np.outer(p_attack, q_select).ravel()
+    return rng.multinomial(episodes, cells / cells.sum()).reshape(len(p_attack), -1)
 
 
 def run_simulation(
@@ -235,37 +225,18 @@ def run_simulation(
     k = len(profiles)
     ids = [pr.id for pr in profiles]
     auth_by_id = _resolve_auth(scenario, sim, ids)
-
     episodes, ppe = sim.episodes, sim.packets_per_episode
-    rng = np.random.default_rng(sim.seed)
-    u_attack = rng.random(episodes)
-    u_select = rng.random(episodes)
-    u_auth = rng.random((episodes, ppe))
-    u_error = rng.random((episodes, ppe))
-    raw_gains = rng.exponential(1.0, (episodes, 3))
 
     if sim.attacker_mode is AttackerMode.UNIFORM:
-        cum_attack = np.arange(1, k + 1) / k
+        p_attack = np.full(k, 1.0 / k)
     else:
-        cum_attack = np.cumsum(solution.attacker.probs)
-    targets = np.minimum(np.searchsorted(cum_attack, u_attack, side="right"), k - 1)
-
+        p_attack = np.array(solution.attacker.probs)
     if sim.source_mode is SourceMode.BEST_UTILITY:
-        best = max(range(k), key=lambda j: (solution.per_relay[j][0], -ids[j]))
-        selected = np.full(episodes, best, dtype=np.int64)
+        q_select = np.zeros(k)
+        q_select[max(range(k), key=lambda j: (solution.per_relay[j][0], -ids[j]))] = 1.0
     else:
-        cum_select = np.cumsum(solution.source.probs)
-        selected = np.minimum(np.searchsorted(cum_select, u_select, side="right"), k - 1)
-
+        q_select = np.array(solution.source.probs)
     pa_vec = np.array([auth_by_id[i] for i in ids])
-    authenticated = u_auth < pa_vec[selected][:, None]
-    hit = (targets == selected)[:, None]
-    compromised = hit & ~authenticated
-    if sim.refined_detection:
-        u_detect = rng.random((episodes, ppe))
-        slipped = u_detect >= scenario.game.detect_rate
-        compromised = compromised | (hit & authenticated & slipped)
-
     p_c = np.array([
         packet_success(
             ber_end_to_end(ln.target_rate, ln.snr_sd, ln.snr_sr, ln.snr_rd),
@@ -273,39 +244,33 @@ def run_simulation(
         )
         for ln in links
     ])
-    errored = u_error < (1.0 - p_c)[selected][:, None]
 
-    # Outage event for the selected relay's link, one realization per episode;
-    # standard exponentials are scaled by the selected link's mean gains so the
-    # draw count stays fixed across modes.
-    alpha = np.array([ln.pathloss_exp for ln in links])
-    mean_sr = np.array([ln.dist_sr for ln in links]) ** -alpha
-    mean_rd = np.array([ln.dist_rd for ln in links]) ** -alpha
-    t_direct, t_relay = outage_thresholds(np.array([ln.target_rate for ln in links]))
-    outage = outage_event(
-        raw_gains[:, 0],
-        raw_gains[:, 1] * mean_sr[selected],
-        raw_gains[:, 2] * mean_rd[selected],
-        np.array([ln.snr_avg for ln in links])[selected],
-        t_direct[selected], t_relay[selected])
+    rng = np.random.default_rng(sim.seed)
+    table = draw_selection_table(rng, episodes, p_attack, q_select)
+    selected, hits = table.sum(axis=0), np.diagonal(table)
+    auth_hit = rng.binomial(hits * ppe, pa_vec)
+    auth_other = rng.binomial((selected - hits) * ppe, pa_vec)
+    compromised = hits * ppe - auth_hit
+    if sim.refined_detection:
+        compromised += rng.binomial(auth_hit, 1.0 - scenario.game.detect_rate)
+    errored = rng.binomial(selected * ppe, 1.0 - p_c)
+    outages = [count_outages(rng, ln, n) for ln, n in zip(links, selected.tolist())]
 
     packets_total = episodes * ppe
     compromised_total = int(compromised.sum())
     comp_rate, comp_se = _rate_stderr(compromised_total, packets_total)
     err_total = int(errored.sum())
+    attacker_counts = table.sum(axis=1).tolist()
 
     per_relay = []
-    for j, (pr, ln) in enumerate(zip(profiles, links)):
-        sel_mask = selected == j
-        sel_eps = int(sel_mask.sum())
+    for pr, ln, att_eps, sel_eps, comp_j, err_j, out_j, pc_j in zip(
+            profiles, links, attacker_counts, selected.tolist(), compromised.tolist(),
+            errored.tolist(), outages, p_c.tolist()):
         packets_j = sel_eps * ppe
-        comp_j = int(compromised[sel_mask].sum())
         rate_j, se_j = _rate_stderr(comp_j, packets_j)
-        err_j = int(errored[sel_mask].sum())
-        out_j = int(outage[sel_mask].sum())
         per_relay.append(RelaySimStats(
             relay_id=pr.id,
-            attacker_episodes=int((targets == j).sum()),
+            attacker_episodes=att_eps,
             source_episodes=sel_eps,
             packets=packets_j,
             compromised=comp_j,
@@ -314,7 +279,7 @@ def run_simulation(
             packet_error_rate=err_j / packets_j if packets_j else 0.0,
             outage_rate=out_j / sel_eps if sel_eps else 0.0,
             outage_closed_form=outage_closed_form(ln),
-            packet_success_analytical=float(p_c[j]),
+            packet_success_analytical=pc_j,
             auth_prob=auth_by_id[pr.id],
         ))
 
@@ -323,15 +288,10 @@ def run_simulation(
     # selection probabilities.  The payload terms use the selection-weighted
     # authentication probability, which the per-packet Bernoulli draws
     # converge to.
-    if sim.source_mode is SourceMode.BEST_UTILITY:
-        sel_probs = np.zeros(k)
-        sel_probs[best] = 1.0
-    else:
-        sel_probs = np.array(solution.source.probs)
-    pc_analytical = min(1.0, max(0.0, float(sel_probs @ p_c)))
+    pc_analytical = min(1.0, max(0.0, float(q_select @ p_c)))
     pc_empirical = 1.0 - err_total / packets_total
     # Convex combinations; clip pure round-off back into [0, 1].
-    pa_effective = min(1.0, max(0.0, float(sel_probs @ pa_vec)))
+    pa_effective = min(1.0, max(0.0, float(q_select @ pa_vec)))
     cfg = replace(scenario.throughput, auth_prob=pa_effective)
     throughput_rows = tuple(
         (mode.value,
@@ -340,7 +300,7 @@ def run_simulation(
         for mode in (ArqMode.GENERAL, ArqMode.SR, ArqMode.GBN)
         if not (mode is ArqMode.GBN and cfg.resolved_window is None)
     )
-    auth_total = int(authenticated.sum())
+    auth_total = int(auth_hit.sum() + auth_other.sum())
 
     notes = []
     if sim.attacker_mode is AttackerMode.UNIFORM:
@@ -356,10 +316,8 @@ def run_simulation(
         refined_detection=sim.refined_detection,
         rng_algorithm=RNG_ALGORITHM,
         auth_prob=tuple(sorted(auth_by_id.items())),
-        attacker_counts=tuple(
-            (pr.id, int((targets == j).sum())) for j, pr in enumerate(profiles)),
-        source_counts=tuple(
-            (pr.id, int((selected == j).sum())) for j, pr in enumerate(profiles)),
+        attacker_counts=tuple(zip(ids, attacker_counts)),
+        source_counts=tuple(zip(ids, selected.tolist())),
         packets_total=packets_total,
         compromised_total=compromised_total,
         compromise_rate=comp_rate,

@@ -89,11 +89,20 @@ def test_override_keys_are_the_scenario_fields():
     ("game.attack_cost=-Infinity", "scenario.game.attack_cost"),
     ('sim.refined_detection="no"', "scenario.sim.refined_detection"),
     ('sim.auth_prob={"a": 0.5}', "scenario.sim.auth_prob"),
+    ("name=5", "scenario.name"),
 ])
 def test_bad_override_values_exit_two(capsys, override, path):
     code, _, err = run_cli(capsys, "solve", "--scenario", "military", "--set", override)
     assert code == 2
     assert path in err
+
+
+def test_simulate_rejects_auth_prob_for_unknown_relay(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--scenario", "military",
+                           "--set", "sim.episodes=1000", "--set",
+                           'sim.auth_prob={"1":0.5,"2":0.5,"3":0.5,"4":0.5,"99":0.1}')
+    assert code == 2
+    assert "scenario.sim.auth_prob" in err and "[99]" in err
 
 
 def test_bad_grid_is_validation_error(capsys):
@@ -158,7 +167,8 @@ def test_simulate_writes_deterministic_bundle(capsys, tmp_path):
     bundle = json.loads(a.read_text())
     assert bundle["provenance"]["seed"] == 42
     assert bundle["provenance"]["scenario_hash"]
-    assert bundle["simulation"]["rng_algorithm"] == "numpy-pcg64"
+    assert bundle["simulation"]["rng_algorithm"] == "numpy-pcg64/counts-1"
+    assert bundle["provenance"]["outage_chunk"] == 32768
 
 
 def test_simulate_csv_output(capsys, tmp_path):

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from relaygame.cli import main
 from relaygame.errors import ValidationError
 from relaygame.scenario import (
     canonical_json,
@@ -94,6 +95,12 @@ def test_validation_names_field_paths(military):
     with pytest.raises(ValidationError, match=r"relays\[1\]\.info_asset"):
         scenario_from_dict(data)
 
+    for name in (5, ["military"], True):
+        data = scenario_to_dict(military)
+        data["name"] = name
+        with pytest.raises(ValidationError, match=r"scenario\.name: expected a string"):
+            scenario_from_dict(data)
+
 
 def test_zero_asset_relay_rejected(military):
     data = scenario_to_dict(military)
@@ -160,6 +167,22 @@ def test_db_value_past_float_range_rejected(military):
         scenario_from_dict(data)
 
 
+def test_target_rate_past_threshold_range_rejected(tmp_path, capsys, military):
+    data = scenario_to_dict(military)
+    for rate in (512, 600.0, 1e300):
+        data["relays"][2]["link"]["target_rate"] = rate
+        with pytest.raises(ValidationError, match=r"scenario\.relays\[2\]\.link\.target_rate"):
+            scenario_from_dict(data)
+    path = tmp_path / "rate.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", "--scenario", str(path)]) == 2
+    assert "scenario.relays[2].link.target_rate" in capsys.readouterr().err
+    # Just inside the range every closed form stays finite.
+    data["relays"][2]["link"]["target_rate"] = 511.99
+    path.write_text(json.dumps(data))
+    assert main(["solve", "--scenario", str(path)]) == 0
+
+
 @pytest.mark.parametrize("flag", ["no", "false", 0, 1])
 def test_refined_detection_must_be_boolean(military, flag):
     data = scenario_to_dict(military)
@@ -189,7 +212,9 @@ def test_null_means_absent(military):
     data["game"]["weight_info"] = None
     data["sim"]["attacker_mode"] = None
     data["relays"][1]["id"] = None
+    data["name"] = None
     loaded = scenario_from_dict(data)
+    assert loaded.name == "unnamed"
     assert loaded.throughput.n_messages == 1
     assert loaded.game.weight_info == 0.5
     assert loaded.sim.attacker_mode.value == "equilibrium"

@@ -1,9 +1,12 @@
 """Monte Carlo simulator: sampling, compromise accounting, determinism."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from relaygame.errors import ValidationError
 from relaygame.game import MixedStrategy, solve_equilibrium
@@ -13,6 +16,7 @@ from relaygame.sim import (
     SimConfig,
     SourceMode,
     draw_attacker_target,
+    draw_selection_table,
     estimate_compromise_curve,
     policy_auth_probs,
     run_simulation,
@@ -275,3 +279,155 @@ def test_per_relay_auth_mapping(military, military_solution):
     missing = SimConfig(episodes=10, seed=1, auth_prob={1: 0.5})
     with pytest.raises(ValidationError):
         run_simulation(military, missing, military_solution)
+    unknown = replace(sim, auth_prob={1: 0.5, 2: 0.5, 3: 0.5, 4: 0.5, 99: 0.1})
+    with pytest.raises(ValidationError, match=r"scenario\.sim\.auth_prob: .*\[99\]"):
+        run_simulation(military, unknown, military_solution)
+
+
+# --- distributional equivalence with the per-episode model ------------------
+#
+# The count-level engine draws sums instead of episodes.  These gates compare
+# its counters, over many pinned seeds at a small episode count, with the
+# exact distribution the per-episode model implies: a chi-square on the
+# (target, selected) table and binomial z-scores on every counter.  A gate
+# that fails is investigated, never re-seeded.
+
+EQUIVALENCE_SEEDS = range(200)
+EQUIVALENCE_EPISODES = 2_000
+EQUIVALENCE_PACKETS = 3
+EQUIVALENCE_AUTH = {1: 0.2, 2: 0.5, 3: 0.7, 4: 0.9}
+MODES = [
+    (AttackerMode.EQUILIBRIUM, SourceMode.EQUILIBRIUM, False),
+    (AttackerMode.EQUILIBRIUM, SourceMode.EQUILIBRIUM, True),
+    (AttackerMode.UNIFORM, SourceMode.EQUILIBRIUM, False),
+    (AttackerMode.EQUILIBRIUM, SourceMode.BEST_UTILITY, False),
+    (AttackerMode.UNIFORM, SourceMode.BEST_UTILITY, True),
+]
+MODE_IDS = ["equilibrium", "refined", "uniform", "best-utility", "uniform-best-refined"]
+
+
+def mode_strategies(solution, attacker_mode, source_mode):
+    """P and Q as the modes define them; relay 3 carries the military preset's
+    largest attacker utility."""
+    k = len(solution.attacker.probs)
+    p = [1.0 / k] * k if attacker_mode is AttackerMode.UNIFORM else list(solution.attacker.probs)
+    if source_mode is SourceMode.BEST_UTILITY:
+        q = [1.0 if j == 2 else 0.0 for j in range(k)]
+    else:
+        q = list(solution.source.probs)
+    return np.array(p), np.array(q)
+
+
+def assert_standard_normal(zs, what):
+    """Mean and spread of z-scores that are N(0, 1) up to binomial skew."""
+    n = len(zs)
+    assert n >= 100, what
+    assert abs(sum(zs) / n) <= 4.0 / math.sqrt(n), f"{what}: mean z {sum(zs) / n:.3f}"
+    ss = sum(z * z for z in zs)
+    assert chi2.ppf(0.0005, n) < ss < chi2.ppf(0.9995, n), f"{what}: sum z^2 {ss:.1f} of {n}"
+
+
+def z_score(count, mean, var, zs):
+    if var == 0.0:
+        assert count == pytest.approx(mean, abs=1e-9)
+    else:
+        zs.append((count - mean) / math.sqrt(var))
+
+
+@pytest.mark.parametrize("attacker_mode", list(AttackerMode))
+@pytest.mark.parametrize("source_mode", list(SourceMode))
+def test_selection_table_matches_product_distribution(
+        military_solution, attacker_mode, source_mode):
+    p, q = mode_strategies(military_solution, attacker_mode, source_mode)
+    e = EQUIVALENCE_EPISODES
+    expected = e * np.outer(p, q)
+    support = expected > 0
+    df = int(support.sum()) - 1
+
+    def pearson(table, runs=1):
+        return float((((table - runs * expected) ** 2)[support]
+                      / (runs * expected[support])).sum())
+
+    total, pooled = 0.0, np.zeros((4, 4), dtype=np.int64)
+    for seed in EQUIVALENCE_SEEDS:
+        table = draw_selection_table(np.random.default_rng(seed), e, p, q)
+        assert table.shape == (4, 4) and table.sum() == e
+        assert not table[~support].any()
+        total += pearson(table)
+        pooled += table
+    # Independent seeds: the summed statistic is chi-square with the summed
+    # degrees of freedom (the spread between runs); the pooled table's
+    # statistic catches a small bias shared by every run.
+    runs = len(EQUIVALENCE_SEEDS)
+    assert chi2.ppf(0.0005, runs * df) < total < chi2.ppf(0.9995, runs * df)
+    assert pearson(pooled, runs) < chi2.ppf(0.9995, df)
+
+
+@pytest.mark.parametrize("attacker_mode,source_mode,refined", MODES, ids=MODE_IDS)
+def test_counters_match_per_episode_distribution(
+        military, military_solution, attacker_mode, source_mode, refined):
+    # Distinct relay-destination distances give each relay its own outage
+    # probability; links do not enter the equilibrium.
+    military = replace(military, links=tuple(
+        replace(ln, dist_rd=d) for ln, d in zip(military.links, (0.5, 1.0, 1.5, 2.0))))
+    p, q = mode_strategies(military_solution, attacker_mode, source_mode)
+    e, ppe = EQUIVALENCE_EPISODES, EQUIVALENCE_PACKETS
+    pa = np.array([EQUIVALENCE_AUTH[i] for i in (1, 2, 3, 4)])
+    # Per-packet compromise probability on an episode whose target is selected.
+    c = (1 - pa) + (pa * (1 - military.game.detect_rate) if refined else 0.0)
+    zs = {name: [] for name in ("attacker", "source", "compromised",
+                                "authenticated", "errored", "outage")}
+    for seed in EQUIVALENCE_SEEDS:
+        sim = SimConfig(episodes=e, packets_per_episode=ppe, seed=seed,
+                        attacker_mode=attacker_mode, source_mode=source_mode,
+                        auth_prob=EQUIVALENCE_AUTH, refined_detection=refined)
+        report = run_simulation(military, sim, military_solution)
+        for (_, count), p_i in zip(report.attacker_counts, p):
+            z_score(count, e * p_i, e * p_i * (1 - p_i), zs["attacker"])
+        for (_, count), q_j in zip(report.source_counts, q):
+            z_score(count, e * q_j, e * q_j * (1 - q_j), zs["source"])
+        # Given the selection counts n_j, the per-relay counters are sums of
+        # independent per-episode (or per-packet) draws.
+        auth_mean = auth_var = 0.0
+        for j, stats in enumerate(report.per_relay):
+            n = stats.source_episodes
+            # Compromised packets of one episode: H * B with H ~ Bern(P_j),
+            # B ~ Bin(ppe, c_j).
+            hb = p[j] * ppe * c[j]
+            hb2 = p[j] * (ppe * c[j] * (1 - c[j]) + (ppe * c[j]) ** 2)
+            z_score(stats.compromised, n * hb, n * (hb2 - hb * hb), zs["compromised"])
+            auth_mean += n * ppe * pa[j]
+            auth_var += n * ppe * pa[j] * (1 - pa[j])
+            p_err = 1 - stats.packet_success_analytical
+            errored = round(stats.packet_error_rate * stats.packets)
+            z_score(errored, stats.packets * p_err, stats.packets * p_err * (1 - p_err),
+                    zs["errored"])
+            p_out = stats.outage_closed_form
+            outages = round(stats.outage_rate * n)
+            z_score(outages, n * p_out, n * p_out * (1 - p_out), zs["outage"])
+        z_score(report.authenticated_total, auth_mean, auth_var, zs["authenticated"])
+    if source_mode is SourceMode.BEST_UTILITY:
+        assert zs.pop("source") == []      # every count was the exact one
+    for name, scores in zs.items():
+        assert_standard_normal(scores, name)
+
+
+def test_memory_stays_bounded_for_large_runs(military, military_solution):
+    """Memory is O(K^2 + OUTAGE_CHUNK): one episode x packet array of this run
+    alone would take 4 GB."""
+    sim = SimConfig(episodes=2_000_000, packets_per_episode=256, seed=5,
+                    auth_prob=0.5, refined_detection=True)
+    tracemalloc.start()
+    try:
+        report = run_simulation(military, sim, military_solution)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.packets_total == 512_000_000
+    assert sum(r.source_episodes for r in report.per_relay) == sim.episodes
+    assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+def test_sim_config_rejects_uncountable_sizes():
+    with pytest.raises(ValidationError, match="2\\^63"):
+        SimConfig(episodes=2 ** 40, packets_per_episode=2 ** 23)
