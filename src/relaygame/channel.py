@@ -23,6 +23,9 @@ from .errors import ValidationError
 #: every simulated outage count, depend on it; report provenance records it.
 OUTAGE_CHUNK = 1 << 15
 
+#: Target rates R from here up overflow the relay-path threshold 2^(2R) (2^1024).
+MAX_TARGET_RATE = 512.0
+
 
 @dataclass(frozen=True)
 class LinkModel:
@@ -38,8 +41,9 @@ class LinkModel:
     snr_rd: float
 
     def __post_init__(self) -> None:
-        if self.target_rate < 0:
-            raise ValidationError(f"target_rate must be >= 0, got {self.target_rate}")
+        if not 0 <= self.target_rate < MAX_TARGET_RATE:
+            raise ValidationError(
+                f"target_rate must be in [0, {MAX_TARGET_RATE:g}), got {self.target_rate}")
         if self.pathloss_exp < 0:
             raise ValidationError(f"pathloss_exp must be >= 0, got {self.pathloss_exp}")
         for name in ("snr_avg", "snr_sd", "snr_sr", "snr_rd"):
@@ -91,9 +95,8 @@ def mutual_info_mrc(gain_sd: float, gain_rd: float, snr: float) -> float:
 
 def outage_thresholds(target_rate):
     """Gain-times-SNR thresholds of the direct path (2^R - 1) and of the
-    half-rate relay paths (2^{2R} - 1); elementwise, overflowing to inf."""
-    with np.errstate(over="ignore"):
-        return np.power(2.0, target_rate) - 1.0, np.power(2.0, 2.0 * target_rate) - 1.0
+    half-rate relay paths (2^{2R} - 1); elementwise, finite below MAX_TARGET_RATE."""
+    return np.power(2.0, target_rate) - 1.0, np.power(2.0, 2.0 * target_rate) - 1.0
 
 
 def outage_event(g_sd, g_sr, g_rd, snr, t_direct, t_relay):

@@ -177,9 +177,7 @@ def cmd_sweep_auth(args) -> int:
         grid = [float(x) for x in args.grid.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise ValidationError(f"bad --grid value: {exc}") from None
-    bundle = build_sweep_auth_report(
-        scenario, grid, simulate=args.simulate,
-        sim=scenario.sim if args.simulate else None)
+    bundle = build_sweep_auth_report(scenario, grid, simulate=args.simulate)
     print(f"conditioning relay {bundle['conditioning_relay']} "
           f"(attack probability {_fmt(bundle['attack_prob_conditioning'])})")
     print_table(bundle["rows"])

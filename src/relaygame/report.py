@@ -48,9 +48,9 @@ from .sim import (
 )
 from .throughput import (
     ArqMode,
+    best_message_count,
     compromising_probability,
-    optimize_messages,
-    throughput_for_mode,
+    sweep_messages,
     throughput_gbn,
     throughput_sr,
 )
@@ -146,22 +146,20 @@ def build_solve_report(scenario: Scenario, diagnostics: bool = False) -> dict:
     return bundle
 
 
-def build_sweep_n_report(
-    scenario: Scenario, n_values: Sequence[int], arq: ArqMode
-) -> dict:
-    """Throughput vs message count; non-positive rows are emitted but flagged."""
+def build_sweep_n_report(scenario: Scenario, n_values: Sequence[int], arq: ArqMode) -> dict:
+    """Rows and optimum from one walk of 1..max(n_values); rows <= 0 are emitted but flagged."""
     if len(n_values) == 0:
         raise ValidationError("message-count range must not be empty")
-    p_c = _scenario_pc(scenario)
-    cfg = scenario.throughput
-    rows = []
     for n in n_values:
         if n < 1:
             raise ValidationError(f"message count {n} must be >= 1")
-        value = throughput_for_mode(cfg.with_messages(n), arq, p_c)
-        rows.append({"n": n, "throughput": value, "plot_omitted": value <= 0.0})
+    p_c = _scenario_pc(scenario)
+    cfg = scenario.throughput
+    sweep = sweep_messages(cfg, max(n_values), arq, p_c)
+    rows = [{"n": n, "throughput": sweep[n - 1][0], "plot_omitted": sweep[n - 1][0] <= 0.0}
+            for n in n_values]
     try:
-        n_star, best = optimize_messages(cfg, max(n_values), arq, p_c)
+        n_star, best = best_message_count(cfg, sweep)
         optimal = {"n": n_star, "throughput": best}
     except NoFeasibleMessageCountError as exc:
         optimal = {"n": None, "throughput": None, "note": str(exc)}
@@ -191,6 +189,12 @@ def _scenario_pc(scenario: Scenario, relay_id: int | None = None) -> float:
     return packet_success(ber, scenario.throughput.packet_bits)
 
 
+def _scenario_sim(scenario: Scenario) -> SimConfig:
+    if scenario.sim is None:
+        raise ValidationError("scenario.sim: missing; simulating needs a sim section")
+    return scenario.sim
+
+
 def build_sweep_auth_report(
     scenario: Scenario,
     grid: Sequence[float],
@@ -201,7 +205,7 @@ def build_sweep_auth_report(
 
     Analytical compromise is (1 - p_a) * p_i* for the most-attacked relay;
     with ``simulate`` enabled each grid point also runs a seeded simulation
-    and reports that relay's empirical conditional compromise rate.
+    (``sim``, else the scenario's) and reports that relay's empirical rate.
     """
     check_auth_grid(grid)
     solution = solve_equilibrium(scenario.profiles, scenario.game)
@@ -226,7 +230,7 @@ def build_sweep_auth_report(
 
     seed = None
     if simulate:
-        sim = sim or scenario.sim or SimConfig(episodes=100_000, seed=0)
+        sim = sim or _scenario_sim(scenario)
         seed = sim.seed
         curve = estimate_compromise_curve(scenario, list(grid), sim, solution, relay_id)
         for row, point in zip(rows, curve):
@@ -244,20 +248,14 @@ def build_sweep_auth_report(
     }
 
 
-def build_simulation_report(
-    scenario: Scenario,
-    sim: SimConfig | None = None,
-    auth_policy: bool = False,
-) -> dict:
+def build_simulation_report(scenario: Scenario, auth_policy: bool = False) -> dict:
     """Full bundle: equilibrium, channel metrics and one simulation run.
 
     ``auth_policy`` replaces the configured authentication probability with
     the per-relay minimum meeting the scenario's security requirement.
     """
     solution = solve_equilibrium(scenario.profiles, scenario.game)
-    sim = sim or scenario.sim
-    if sim is None:
-        raise ValidationError("scenario has no sim configuration and none was given")
+    sim = _scenario_sim(scenario)
     policy = policy_auth_probs(scenario.profiles, solution, scenario.security)
     if auth_policy:
         sim = replace(sim, auth_prob=policy)

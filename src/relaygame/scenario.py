@@ -20,10 +20,10 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .channel import LinkModel
+from .channel import MAX_TARGET_RATE, LinkModel
 from .errors import ValidationError
 from .game import GameParams, RelayProfile
-from .sim import SimConfig
+from .sim import SimConfig, resolve_auth
 from .throughput import SecurityRequirement, ThroughputConfig
 
 SCHEMA_VERSION = 1
@@ -51,6 +51,8 @@ class Scenario:
         ids = [pr.id for pr in self.profiles]
         if len(set(ids)) != len(ids):
             raise ValidationError(f"duplicate relay ids: {ids}")
+        if self.sim is not None:
+            resolve_auth(self, self.sim, ids)   # a per-relay mapping must name these relays
 
     @functools.cached_property
     def _hash(self) -> str:
@@ -233,8 +235,9 @@ class _Node:
     def rate(self, key: str, default=_REQUIRED) -> float:
         """A target rate R whose relay-path threshold 2^(2R) fits a float."""
         value = self.number(key, default)
-        if 2.0 * value >= sys.float_info.max_exp:
-            raise self.wrong(key, "a rate below 512 (2^(2R) must fit a float)", value)
+        if value >= MAX_TARGET_RATE:
+            raise self.wrong(
+                key, f"a rate below {MAX_TARGET_RATE:g} (2^(2R) must fit a float)", value)
         return value
 
     def auth_prob(self, key: str, default=_REQUIRED):

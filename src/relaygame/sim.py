@@ -177,7 +177,8 @@ def policy_auth_probs(
     }
 
 
-def _resolve_auth(scenario, sim: SimConfig, ids: Sequence[int]) -> dict[int, float]:
+def resolve_auth(scenario, sim: SimConfig, ids: Sequence[int]) -> dict[int, float]:
+    """Authentication probability by relay id; a mapping must name exactly ``ids``."""
     if sim.auth_prob is None:
         return {i: scenario.throughput.auth_prob for i in ids}
     if isinstance(sim.auth_prob, (int, float)):
@@ -224,7 +225,7 @@ def run_simulation(
     links = scenario.links
     k = len(profiles)
     ids = [pr.id for pr in profiles]
-    auth_by_id = _resolve_auth(scenario, sim, ids)
+    auth_by_id = resolve_auth(scenario, sim, ids)
     episodes, ppe = sim.episodes, sim.packets_per_episode
 
     if sim.attacker_mode is AttackerMode.UNIFORM:

@@ -5,6 +5,11 @@ bits each, where n is the number of data blocks amortizing one pre-signature;
 unauthenticated packets carry a single hash.  Authenticated payload can go
 negative for oversized trees: that is data (infeasible configuration), not an
 error, and reporting layers decide whether to omit such rows.
+
+Every ARQ throughput is payload * P_c / (T_presig + T_transfer * (P_c + (1 - P_c) * W))
+for packet-success probability P_c and window W.  Go-back-N takes the resolved
+window; selective repeat is W = 1, where the bracket is exactly 1.0 for every
+P_c in [0, 1] in IEEE doubles; the general throughput is P_c = 1.
 """
 
 from __future__ import annotations
@@ -89,10 +94,6 @@ class ThroughputConfig:
         return self.n_messages * self.packet_bits / self.data_rate
 
     @property
-    def total_time(self) -> float:
-        return self.presig_time + self.resolved_transfer_time
-
-    @property
     def resolved_window(self) -> int | None:
         if self.window is not None:
             return self.window
@@ -119,39 +120,31 @@ def payload_noauth(cfg: ThroughputConfig) -> float:
     return cfg.n_messages * (1.0 - cfg.auth_prob) * (cfg.packet_bits - cfg.hash_bits)
 
 
-def throughput_general(cfg: ThroughputConfig) -> float:
-    """Total payload over total (pre-signature + transfer) time."""
-    total = cfg.total_time
-    if total <= 0:
-        raise ValidationError("total time must be > 0")
-    return (payload_auth(cfg) + payload_noauth(cfg)) / total
-
-
-def throughput_sr(cfg: ThroughputConfig, p_c: float) -> float:
-    """Selective-repeat ARQ throughput: only errored packets are resent."""
-    _check_pc(p_c)
-    total = cfg.total_time
-    if total <= 0:
-        raise ValidationError("total time must be > 0")
-    return (payload_auth(cfg) + payload_noauth(cfg)) * p_c / total
-
-
-def throughput_gbn(cfg: ThroughputConfig, p_c: float) -> float:
-    """Go-back-N ARQ throughput: an error costs the whole outstanding window."""
-    _check_pc(p_c)
-    w = cfg.resolved_window
-    if w is None:
-        raise ValidationError(
-            "go-back-N needs a window: set window or data_rate+reaction_time")
-    denom = cfg.presig_time + cfg.resolved_transfer_time * (p_c + (1.0 - p_c) * w)
+def _arq_throughput(cfg: ThroughputConfig, p_c: float, window: int | None) -> float:
+    """payload * P_c / (T_presig + T_transfer * (P_c + (1 - P_c) * W))."""
+    if not 0.0 <= p_c <= 1.0:
+        raise ValidationError(f"packet success probability must be in [0, 1], got {p_c}")
+    if window is None:
+        raise ValidationError("go-back-N needs a window: set window or data_rate+reaction_time")
+    denom = cfg.presig_time + cfg.resolved_transfer_time * (p_c + (1.0 - p_c) * window)
     if denom <= 0:
         raise ValidationError("total time must be > 0")
     return (payload_auth(cfg) + payload_noauth(cfg)) * p_c / denom
 
 
-def _check_pc(p_c: float) -> None:
-    if not 0.0 <= p_c <= 1.0:
-        raise ValidationError(f"packet success probability must be in [0, 1], got {p_c}")
+def throughput_general(cfg: ThroughputConfig) -> float:
+    """Total payload over total (pre-signature + transfer) time."""
+    return _arq_throughput(cfg, 1.0, 1)
+
+
+def throughput_sr(cfg: ThroughputConfig, p_c: float) -> float:
+    """Selective-repeat ARQ throughput: only errored packets are resent."""
+    return _arq_throughput(cfg, p_c, 1)
+
+
+def throughput_gbn(cfg: ThroughputConfig, p_c: float) -> float:
+    """Go-back-N ARQ throughput: an error costs the whole outstanding window."""
+    return _arq_throughput(cfg, p_c, cfg.resolved_window)
 
 
 def throughput_for_mode(cfg: ThroughputConfig, mode: ArqMode, p_c: float) -> float:
@@ -162,29 +155,37 @@ def throughput_for_mode(cfg: ThroughputConfig, mode: ArqMode, p_c: float) -> flo
     return throughput_gbn(cfg, p_c)
 
 
-def optimize_messages(
-    cfg: ThroughputConfig, n_max: int, arq: ArqMode, p_c: float = 1.0
-) -> tuple[int, float]:
-    """Brute-force argmax of throughput over message counts 1..n_max.
-
-    When any packets are authenticated, counts whose per-packet authenticated
-    payload is non-positive are excluded; ties go to the smaller count.
-    """
+def sweep_messages(cfg: ThroughputConfig, n_max: int, arq: ArqMode,
+                   p_c: float = 1.0) -> list[tuple[float, bool]]:
+    """(throughput, feasible) at message counts 1..n_max, each evaluated once.  With
+    any authentication, a count is feasible while its authenticated payload is positive."""
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
-    best: tuple[int, float] | None = None
+    walk = []
     for n in range(1, n_max + 1):
-        candidate = cfg.with_messages(n)
-        if cfg.auth_prob > 0.0 and candidate.auth_payload_per_packet() <= 0:
-            continue
-        value = throughput_for_mode(candidate, arq, p_c)
-        if best is None or value > best[1]:
+        at_n = cfg.with_messages(n)
+        walk.append((throughput_for_mode(at_n, arq, p_c),
+                     cfg.auth_prob <= 0.0 or at_n.auth_payload_per_packet() > 0))
+    return walk
+
+
+def best_message_count(cfg: ThroughputConfig, walk: list[tuple[float, bool]]) -> tuple[int, float]:
+    """Feasible argmax (n, throughput) of a ``sweep_messages`` walk; ties go to the smaller n."""
+    best: tuple[int, float] | None = None
+    for n, (value, feasible) in enumerate(walk, start=1):
+        if feasible and (best is None or value > best[1]):
             best = (n, value)
     if best is None:
         raise NoFeasibleMessageCountError(
-            f"no n in 1..{n_max} keeps the authenticated payload positive "
+            f"no n in 1..{len(walk)} keeps the authenticated payload positive "
             f"(packet_bits={cfg.packet_bits}, hash_bits={cfg.hash_bits})")
     return best
+
+
+def optimize_messages(cfg: ThroughputConfig, n_max: int, arq: ArqMode,
+                      p_c: float = 1.0) -> tuple[int, float]:
+    """Brute-force argmax of throughput over message counts 1..n_max."""
+    return best_message_count(cfg, sweep_messages(cfg, n_max, arq, p_c))
 
 
 @dataclass(frozen=True)

@@ -260,8 +260,10 @@ def test_outage_monte_carlo_reproducible():
 def test_outage_monte_carlo_edge_rates():
     zero = outage_monte_carlo(link(rate=0.0), 1000, seed=1)
     assert zero.probability == 0.0 and zero.stderr == 0.0
-    certain = outage_monte_carlo(link(rate=1000.0, snr=1.0), 1000, seed=1)
+    certain = outage_monte_carlo(link(rate=511.99, snr=1.0), 1000, seed=1)
     assert certain.probability == 1.0
+    with pytest.raises(ValidationError, match="target_rate"):
+        link(rate=1000.0, snr=1.0)   # 2^(2R) would overflow a float
     with pytest.raises(ValidationError):
         outage_monte_carlo(link(), 0, seed=1)
 

@@ -11,7 +11,7 @@ from relaygame.report import (
     build_sweep_n_report,
     bundle_to_json,
 )
-from relaygame.throughput import ArqMode, optimize_messages, throughput_sr
+from relaygame.throughput import ArqMode, optimize_messages, throughput_for_mode, throughput_sr
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +90,7 @@ def test_override_keys_are_the_scenario_fields():
     ('sim.refined_detection="no"', "scenario.sim.refined_detection"),
     ('sim.auth_prob={"a": 0.5}', "scenario.sim.auth_prob"),
     ("name=5", "scenario.name"),
+    ('sim.auth_prob={"1": 0.5, "99": 0.1}', "scenario.sim.auth_prob"),
 ])
 def test_bad_override_values_exit_two(capsys, override, path):
     code, _, err = run_cli(capsys, "solve", "--scenario", "military", "--set", override)
@@ -112,10 +113,19 @@ def test_bad_grid_is_validation_error(capsys):
 
 
 def test_sweep_n_consistency(military):
-    bundle = build_sweep_n_report(military, [6], ArqMode.SR)
-    cfg = military.throughput.with_messages(6)
-    expected = throughput_sr(cfg, bundle["packet_success"])
-    assert bundle["rows"][0]["throughput"] == pytest.approx(expected, rel=1e-12)
+    # Rows and optimum come from one walk over 1..max(n); each must equal a
+    # direct evaluation at its own count, bit for bit.
+    cfg = military.throughput
+    for arq in ArqMode:
+        for n_values in ([6], range(1, 41), range(30, 37), [3, 1, 40]):
+            bundle = build_sweep_n_report(military, n_values, arq)
+            p_c = bundle["packet_success"]
+            assert [r["n"] for r in bundle["rows"]] == list(n_values)
+            for row in bundle["rows"]:
+                assert row["throughput"] == throughput_for_mode(
+                    cfg.with_messages(row["n"]), arq, p_c)
+            n_star, best = optimize_messages(cfg, max(n_values), arq, p_c)
+            assert bundle["optimal"] == {"n": n_star, "throughput": best}
 
 
 def test_sweep_n_argmax_matches_optimizer(military):
@@ -200,8 +210,8 @@ def test_sweep_auth_simulate_flag(capsys, tmp_path):
     assert rows[0]["compromise_empirical"] is not None
 
 
-def test_single_relay_scenario_file(capsys, tmp_path):
-    scenario = {
+def single_relay_scenario():
+    return {
         "schema_version": 1,
         "name": "toy",
         "game": {"detect_rate": 0.9, "false_alarm_rate": 0.05, "attack_cost": 0.01,
@@ -217,14 +227,28 @@ def test_single_relay_scenario_file(capsys, tmp_path):
                        "data_rate": 1e6, "reaction_time": 0.01},
         "security": {"max_compromised_fraction": 0.2},
     }
+
+
+def test_single_relay_scenario_file(capsys, tmp_path):
     path = tmp_path / "toy.json"
-    path.write_text(json.dumps(scenario))
+    path.write_text(json.dumps(single_relay_scenario()))
     out = tmp_path / "toy-report.json"
     code, _, _ = run_cli(capsys, "solve", "--scenario", str(path), "--out", str(out))
     assert code == 0
     row = json.loads(out.read_text())["equilibrium"][0]
     assert row["attack_prob"] == pytest.approx(1.0, abs=1e-12)
     assert row["select_prob"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_simulating_needs_a_sim_section(capsys, tmp_path):
+    # Episodes and seed come only from the scenario: no hidden default run.
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps(single_relay_scenario()))
+    for command in (["simulate"], ["sweep-auth", "--simulate"]):
+        code, _, err = run_cli(capsys, *command, "--scenario", str(path))
+        assert code == 2
+        assert "scenario.sim" in err
+    assert run_cli(capsys, "sweep-auth", "--scenario", str(path))[0] == 0
 
 
 def test_solve_report_is_json_serializable(military):

@@ -193,13 +193,20 @@ def test_refined_detection_must_be_boolean(military, flag):
     assert scenario_from_dict(data).sim.refined_detection is True
 
 
-def test_auth_prob_keys_must_be_relay_ids(military):
+def test_auth_prob_keys_must_be_relay_ids(military, tmp_path):
     data = scenario_to_dict(military)
     for keys in ({"a": 0.5}, {"1": 0.9, "01": 0.1}, {" 1": 0.5}, {"+1": 0.5},
                  {"1_0": 0.5}, {"1.0": 0.5}, {"None": 0.5}, {1: 0.9, "1": 0.1}):
         data["sim"]["auth_prob"] = keys
         with pytest.raises(ValidationError, match=r"scenario\.sim\.auth_prob"):
             scenario_from_dict(data)
+    # Keys must name every relay and no other, checked at load.
+    for keys, named in (({"1": 0.5, "99": 0.1}, r"\[99\]"), ({"1": 0.5}, r"\[2, 3, 4\]")):
+        data["sim"]["auth_prob"] = keys
+        path = tmp_path / "auth.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match=r"scenario\.sim\.auth_prob: .*" + named):
+            load_scenario(path)
     data["sim"]["auth_prob"] = {"1": 0.5, "2": 0.25, "3": 0.0, "4": 1.0}
     loaded = scenario_from_dict(data)
     assert loaded.sim.auth_prob == {1: 0.5, 2: 0.25, 3: 0.0, 4: 1.0}

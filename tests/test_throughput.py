@@ -73,6 +73,48 @@ def test_throughput_gbn():
         throughput_gbn(cfg(), 0.5)  # no window and no way to derive one
 
 
+# The three per-mode formulas that the one ARQ formula replaced, kept as the
+# reference it must reproduce bit for bit.
+def reference_general(c):
+    return (payload_auth(c) + payload_noauth(c)) / (c.presig_time + c.resolved_transfer_time)
+
+
+def reference_sr(c, p_c):
+    total = c.presig_time + c.resolved_transfer_time
+    return (payload_auth(c) + payload_noauth(c)) * p_c / total
+
+
+def reference_gbn(c, p_c):
+    denom = c.presig_time + c.resolved_transfer_time * (p_c + (1.0 - p_c) * c.resolved_window)
+    return (payload_auth(c) + payload_noauth(c)) * p_c / denom
+
+
+def test_one_formula_matches_per_mode_references():
+    rng = np.random.default_rng(2024)
+    edge_pc = (0.0, 1.0, 5e-324, 1e-300, 0.5, float(np.nextafter(1.0, 0.0)))
+    for i in range(600):
+        timing = ({"transfer_time": float(rng.uniform(1e-4, 2.0))} if i % 2 else
+                  {"data_rate": float(rng.uniform(1e3, 1e8)),
+                   "reaction_time": float(rng.uniform(1e-5, 0.1))})
+        window = (1, int(rng.integers(2, 200)), None)[i % 3]
+        if window is None and "transfer_time" in timing:
+            window = int(rng.integers(1, 200))
+        c = ThroughputConfig(packet_bits=int(rng.integers(100, 4000)),
+                             hash_bits=int(rng.integers(16, 512)),
+                             n_messages=int(rng.integers(1, 128)),
+                             auth_prob=float(rng.choice([0.0, 1.0, rng.uniform()])),
+                             presig_time=float(rng.choice([0.0, rng.uniform(0, 1)])),
+                             window=window, **timing)
+        p_c = float(rng.choice([0.0, 1.0, rng.uniform(), edge_pc[i % len(edge_pc)]]))
+        expected = {ArqMode.GENERAL: reference_general(c), ArqMode.SR: reference_sr(c, p_c),
+                    ArqMode.GBN: reference_gbn(c, p_c)}
+        assert throughput_general(c) == expected[ArqMode.GENERAL]
+        assert throughput_sr(c, p_c) == expected[ArqMode.SR]
+        assert throughput_gbn(c, p_c) == expected[ArqMode.GBN]
+        for mode in ArqMode:
+            assert throughput_for_mode(c, mode, p_c) == expected[mode]
+
+
 def test_window_size_examples():
     assert window_size(1e6, 0.01, 1000) == 10
     assert window_size(1e3, 0.0001, 1000) == 1
