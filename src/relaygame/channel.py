@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import check_range
 
 #: Fading realisations the outage Monte Carlo draws per block.  Draws, and so
 #: every simulated outage count, depend on it; report provenance records it.
@@ -41,17 +41,10 @@ class LinkModel:
     snr_rd: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.target_rate < MAX_TARGET_RATE:
-            raise ValidationError(
-                f"target_rate must be in [0, {MAX_TARGET_RATE:g}), got {self.target_rate}")
-        if self.pathloss_exp < 0:
-            raise ValidationError(f"pathloss_exp must be >= 0, got {self.pathloss_exp}")
-        for name in ("snr_avg", "snr_sd", "snr_sr", "snr_rd"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("dist_sr", "dist_rd"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be > 0, got {getattr(self, name)}")
+        check_range("target_rate", self.target_rate, 0.0, MAX_TARGET_RATE, hi_open=True)
+        check_range("pathloss_exp", self.pathloss_exp, 0.0)
+        for name in ("snr_avg", "snr_sd", "snr_sr", "snr_rd", "dist_sr", "dist_rd"):
+            check_range(name, getattr(self, name), 0.0, lo_open=True)
 
 
 @dataclass(frozen=True)
@@ -64,8 +57,7 @@ class ChannelDraw:
 
     def __post_init__(self) -> None:
         for name in ("gain_sd", "gain_sr", "gain_rd"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+            check_range(name, getattr(self, name), 0.0)
 
 
 @dataclass(frozen=True)
@@ -124,8 +116,6 @@ def outage_closed_form(link: LinkModel) -> float:
     evaluated by its analytic limit; next to it ``expm1`` keeps the general
     branch free of cancellation.
     """
-    if link.snr_avg <= 0:
-        raise ValidationError("snr_avg must be > 0")
     gamma, r = link.snr_avg, link.target_rate
     ln_v = -(2.0 ** r - 1.0) / gamma
     v = math.exp(ln_v)
@@ -164,8 +154,7 @@ def outage_monte_carlo(link: LinkModel, trials: int, seed: int) -> OutageEstimat
     Gains are drawn per the module fading convention; the estimate is the hit
     fraction of the outage event, reproducible for a fixed seed.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    check_range("trials", trials, 1)
     p_hat = count_outages(np.random.default_rng(seed), link, trials) / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return OutageEstimate(probability=p_hat, stderr=stderr, trials=trials, seed=seed)
@@ -173,15 +162,14 @@ def outage_monte_carlo(link: LinkModel, trials: int, seed: int) -> OutageEstimat
 
 def outage_sr_link(target_rate: float, snr_sr: float) -> float:
     """First-hop outage probability of the source->relay link."""
-    if snr_sr <= 0:
-        raise ValidationError(f"snr_sr must be > 0, got {snr_sr}")
+    check_range("target_rate", target_rate, 0.0, MAX_TARGET_RATE, hi_open=True)
+    check_range("snr_sr", snr_sr, 0.0, lo_open=True)
     return 1.0 - math.exp(-(2.0 ** (2.0 * target_rate) - 1.0) / snr_sr)
 
 
 def ber_direct(snr_sd: float) -> float:
     """BPSK bit error rate of the direct path under Rayleigh fading."""
-    if snr_sd <= 0:
-        raise ValidationError(f"snr_sd must be > 0, got {snr_sd}")
+    check_range("snr_sd", snr_sd, 0.0, lo_open=True)
     return 0.5 * _miss_and_mu(snr_sd)[0]
 
 
@@ -202,8 +190,8 @@ def ber_diversity(snr_sd: float, snr_rd: float) -> float:
     positive terms: exact at a == b, and free of cancellation near it or,
     with 1 - u from ``_miss_and_mu``, at high SNR.
     """
-    if snr_sd <= 0 or snr_rd <= 0:
-        raise ValidationError("both SNRs must be > 0")
+    check_range("snr_sd", snr_sd, 0.0, lo_open=True)
+    check_range("snr_rd", snr_rd, 0.0, lo_open=True)
     (miss_a, u_a), (miss_b, u_b) = _miss_and_mu(snr_sd), _miss_and_mu(snr_rd)
     return 0.5 * miss_a * miss_b * (u_a + u_b + u_a * u_b) / (u_a + u_b)
 
@@ -219,8 +207,6 @@ def ber_end_to_end(
 
 def packet_success(ber: float, packet_bits: int) -> float:
     """Probability a packet of the given length arrives with no bit errors."""
-    if not 0.0 <= ber <= 1.0:
-        raise ValidationError(f"ber must be in [0, 1], got {ber}")
-    if packet_bits < 1:
-        raise ValidationError(f"packet_bits must be >= 1, got {packet_bits}")
+    check_range("ber", ber, 0.0, 1.0)
+    check_range("packet_bits", packet_bits, 1)
     return (1.0 - ber) ** packet_bits

@@ -1,4 +1,11 @@
-"""Exception hierarchy and CLI exit codes."""
+"""Exception hierarchy, CLI exit codes and the one range check.
+
+Every range rule on a field or a scalar argument is a ``check_range`` call,
+so each bound is written once, NaN and +-inf fail it, and the error names the
+field: the scenario loader prefixes that name with the field's JSON path.
+"""
+
+import math
 
 
 class RelayGameError(Exception):
@@ -6,7 +13,14 @@ class RelayGameError(Exception):
 
 
 class ValidationError(RelayGameError):
-    """Bad input: field out of range, malformed scenario file, unknown preset."""
+    """Bad input: field out of range, malformed scenario file, unknown preset.
+
+    ``field`` names the offending field when the message starts with it.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class DimensionError(ValidationError):
@@ -23,6 +37,23 @@ class InfeasibleEquilibriumError(RelayGameError):
 
 class NoFeasibleMessageCountError(RelayGameError):
     """Every candidate message count has non-positive authenticated payload."""
+
+
+def check_range(name: str, value, lo, hi=math.inf,
+                lo_open: bool = False, hi_open: bool = False) -> None:
+    """Raise a ValidationError for field ``name`` unless ``value`` lies between
+    ``lo`` and ``hi``, each end closed unless marked open; with no upper bound
+    it reads as ``>= lo``.  Written so that NaN, which compares false, and
+    +-inf fail every range."""
+    if ((lo < value if lo_open else lo <= value)
+            and (value < hi if hi_open else value <= hi)
+            and -math.inf < value < math.inf):
+        return
+    if hi == math.inf:
+        bound = f"{'>' if lo_open else '>='} {lo:g}"
+    else:
+        bound = f"in {'(' if lo_open else '['}{lo:g}, {hi:g}{')' if hi_open else ']'}"
+    raise ValidationError(f"{name} must be {bound}, got {value}", field=name)
 
 
 EXIT_OK = 0

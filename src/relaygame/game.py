@@ -16,6 +16,7 @@ from .errors import (
     DimensionError,
     InfeasibleEquilibriumError,
     ValidationError,
+    check_range,
 )
 
 #: Relative tolerance deciding quasi-sensible membership (asset == threshold).
@@ -23,11 +24,6 @@ QUASI_REL_TOL = 1e-9
 
 #: Tolerance on mixed-strategy normalization.
 STRATEGY_SUM_TOL = 1e-9
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValidationError(message)
 
 
 @dataclass(frozen=True)
@@ -47,14 +43,13 @@ class GameParams:
     weight_security: float = 0.5
 
     def __post_init__(self) -> None:
-        _require(0.0 <= self.detect_rate <= 1.0, "detect_rate must be in [0, 1]")
-        _require(0.0 <= self.false_alarm_rate <= 1.0, "false_alarm_rate must be in [0, 1]")
-        for name in ("attack_cost", "monitor_cost", "false_alarm_loss"):
-            _require(getattr(self, name) >= 0.0, f"{name} must be >= 0")
-        _require(self.weight_info >= 0.0, "weight_info must be >= 0")
-        _require(self.weight_security >= 0.0, "weight_security must be >= 0")
-        _require(self.weight_info + self.weight_security > 0.0,
-                 "asset weights must not both be zero")
+        check_range("detect_rate", self.detect_rate, 0.0, 1.0)
+        check_range("false_alarm_rate", self.false_alarm_rate, 0.0, 1.0)
+        for name in ("attack_cost", "monitor_cost", "false_alarm_loss",
+                     "weight_info", "weight_security"):
+            check_range(name, getattr(self, name), 0.0)
+        if self.weight_info + self.weight_security <= 0.0:
+            raise ValidationError("asset weights must not both be zero")
 
 
 @dataclass(frozen=True)
@@ -66,8 +61,8 @@ class RelayProfile:
     sec_asset: float    # normalized security-importance score
 
     def __post_init__(self) -> None:
-        _require(self.info_asset >= 0.0, f"relay {self.id}: info_asset must be >= 0")
-        _require(self.sec_asset >= 0.0, f"relay {self.id}: sec_asset must be >= 0")
+        check_range("info_asset", self.info_asset, 0.0)
+        check_range("sec_asset", self.sec_asset, 0.0)
 
 
 def combined_asset(profile: RelayProfile, params: GameParams) -> float:
@@ -110,8 +105,7 @@ class MixedStrategy:
         if not self.probs:
             raise DimensionError("mixed strategy must have at least one entry")
         for k, p in enumerate(self.probs):
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"strategy entry {k} is {p}, outside [0, 1]")
+            check_range(f"strategy entry {k}", p, 0.0, 1.0)
         total = sum(self.probs)
         if abs(total - 1.0) > STRATEGY_SUM_TOL:
             raise ValidationError(f"strategy entries sum to {total!r}, not 1")
@@ -173,13 +167,14 @@ class VerificationReport:
 
 
 def _checked_assets(profiles, params) -> list[float]:
-    _require(len(profiles) >= 1, "need at least one relay")
+    if len(profiles) < 1:
+        raise ValidationError("need at least one relay")
     ids = [pr.id for pr in profiles]
-    _require(len(set(ids)) == len(ids), f"duplicate relay ids in {ids}")
+    if len(set(ids)) != len(ids):
+        raise ValidationError(f"duplicate relay ids in {ids}")
     assets = [combined_asset(pr, params) for pr in profiles]
     for pr, a in zip(profiles, assets):
-        if a <= 0.0:
-            raise ValidationError(f"relay {pr.id}: combined asset must be > 0, got {a}")
+        check_range(f"relay {pr.id} combined asset", a, 0.0, lo_open=True)
     return assets
 
 

@@ -27,12 +27,12 @@ from .errors import (
     InfeasibleEquilibriumError,
     NoFeasibleMessageCountError,
     ValidationError,
+    check_range,
 )
 from .game import (
     EquilibriumSolution,
     combined_asset,
     diagnostic_attack_strategy,
-    solve_equilibrium,
     verify_equilibrium,
 )
 from .scenario import Scenario, canonical_json, scenario_hash
@@ -116,7 +116,7 @@ def channel_table(scenario: Scenario) -> list[dict]:
 
 def build_solve_report(scenario: Scenario, diagnostics: bool = False) -> dict:
     """Equilibrium bundle: partition, strategies, utilities, verification."""
-    solution = solve_equilibrium(scenario.profiles, scenario.game)
+    solution = scenario.solution
     check = verify_equilibrium(
         solution.attacker, solution.source, scenario.profiles, scenario.game)
     bundle = {
@@ -151,8 +151,7 @@ def build_sweep_n_report(scenario: Scenario, n_values: Sequence[int], arq: ArqMo
     if len(n_values) == 0:
         raise ValidationError("message-count range must not be empty")
     for n in n_values:
-        if n < 1:
-            raise ValidationError(f"message count {n} must be >= 1")
+        check_range("message count", n, 1)
     p_c = _scenario_pc(scenario)
     cfg = scenario.throughput
     sweep = sweep_messages(cfg, max(n_values), arq, p_c)
@@ -180,8 +179,7 @@ def _scenario_pc(scenario: Scenario, relay_id: int | None = None) -> float:
     ids = [pr.id for pr in scenario.profiles]
     if relay_id is None:
         try:
-            solution = solve_equilibrium(scenario.profiles, scenario.game)
-            relay_id = most_attacked_relay(scenario.profiles, solution)
+            relay_id = most_attacked_relay(scenario.profiles, scenario.solution)
         except (DegenerateGameError, InfeasibleEquilibriumError):
             relay_id = ids[0]
     ln = scenario.links[ids.index(relay_id)]
@@ -208,7 +206,7 @@ def build_sweep_auth_report(
     (``sim``, else the scenario's) and reports that relay's empirical rate.
     """
     check_auth_grid(grid)
-    solution = solve_equilibrium(scenario.profiles, scenario.game)
+    solution = scenario.solution
     relay_id = most_attacked_relay(scenario.profiles, solution)
     p_star = solution.attacker.probs[
         [pr.id for pr in scenario.profiles].index(relay_id)]
@@ -254,7 +252,7 @@ def build_simulation_report(scenario: Scenario, auth_policy: bool = False) -> di
     ``auth_policy`` replaces the configured authentication probability with
     the per-relay minimum meeting the scenario's security requirement.
     """
-    solution = solve_equilibrium(scenario.profiles, scenario.game)
+    solution = scenario.solution
     sim = _scenario_sim(scenario)
     policy = policy_auth_probs(scenario.profiles, solution, scenario.security)
     if auth_policy:

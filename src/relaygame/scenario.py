@@ -20,9 +20,9 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .channel import MAX_TARGET_RATE, LinkModel
+from .channel import LinkModel
 from .errors import ValidationError
-from .game import GameParams, RelayProfile
+from .game import EquilibriumSolution, GameParams, RelayProfile, solve_equilibrium
 from .sim import SimConfig, resolve_auth
 from .throughput import SecurityRequirement, ThroughputConfig
 
@@ -54,11 +54,18 @@ class Scenario:
         if self.sim is not None:
             resolve_auth(self, self.sim, ids)   # a per-relay mapping must name these relays
 
+    # A scenario is frozen, so what every report asks of it is worked out
+    # once and kept: its hash for provenance, and its equilibrium.
+
     @functools.cached_property
     def _hash(self) -> str:
-        # A scenario is frozen, so scenario_hash is worked out once and kept:
-        # the provenance of every report bundle asks for it.
         return hashlib.sha256(canonical_json(scenario_to_dict(self)).encode()).hexdigest()
+
+    @functools.cached_property
+    def solution(self) -> EquilibriumSolution:
+        """The mixed equilibrium of the relay game; solver errors are raised
+        again on every access, not kept."""
+        return solve_equilibrium(self.profiles, self.game)
 
 
 def db_to_linear(value_db: float) -> float:
@@ -232,14 +239,6 @@ class _Node:
             raise ValidationError(
                 f"{self.path}.{key}_db: {value_db} dB overflows a float") from None
 
-    def rate(self, key: str, default=_REQUIRED) -> float:
-        """A target rate R whose relay-path threshold 2^(2R) fits a float."""
-        value = self.number(key, default)
-        if value >= MAX_TARGET_RATE:
-            raise self.wrong(
-                key, f"a rate below {MAX_TARGET_RATE:g} (2^(2R) must fit a float)", value)
-        return value
-
     def auth_prob(self, key: str, default=_REQUIRED):
         """One probability, or an object mapping relay ids to probabilities."""
         if not isinstance(self.data.get(key), dict):
@@ -277,14 +276,13 @@ def _dump_auth(auth):
     return {str(k): v for k, v in sorted(auth.items())} if isinstance(auth, dict) else auth
 
 
-#: (reader, writer) overrides: the _db SNR aliases, the target-rate range the
-#: outage thresholds can carry and sim.auth_prob's mapping form.  The last
-#: wire-only fact, a relay id defaulting to the relay's position, is passed by
-#: scenario_from_dict.
+#: (reader, writer) overrides: the _db SNR aliases and sim.auth_prob's mapping
+#: form.  The last wire-only fact, a relay id defaulting to the relay's
+#: position, is passed by scenario_from_dict.  Ranges are the dataclasses'
+#: own, reported under the field's path.
 _WIRE = {
     **{(LinkModel, name): (_Node.snr, None)
        for name in ("snr_avg", "snr_sd", "snr_sr", "snr_rd")},
-    (LinkModel, "target_rate"): (_Node.rate, None),
     (SimConfig, "auth_prob"): (_Node.auth_prob, _dump_auth),
 }
 
@@ -326,7 +324,9 @@ def _read(node: _Node, cls, **defaults):
     try:
         return cls(**values)
     except ValidationError as exc:
-        raise ValidationError(f"{node.path}: {exc}") from exc
+        if exc.field is None:
+            raise ValidationError(f"{node.path}: {exc}") from exc
+        raise ValidationError(f"{node.path}.{exc}", field=f"{node.path}.{exc.field}") from exc
 
 
 def _write(obj) -> dict:

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channel import ber_end_to_end, count_outages, outage_closed_form, packet_success
-from .errors import ValidationError
+from .errors import ValidationError, check_range
 from .game import EquilibriumSolution, MixedStrategy
 from .throughput import (
     ArqMode,
@@ -75,23 +75,17 @@ class SimConfig:
     refined_detection: bool = False
 
     def __post_init__(self) -> None:
-        if self.episodes < 1:
-            raise ValidationError(f"episodes must be >= 1, got {self.episodes}")
-        if self.packets_per_episode < 1:
-            raise ValidationError(
-                f"packets_per_episode must be >= 1, got {self.packets_per_episode}")
+        check_range("episodes", self.episodes, 1)
+        check_range("packets_per_episode", self.packets_per_episode, 1)
         if self.episodes * self.packets_per_episode >= 2 ** 63:
             raise ValidationError("episodes x packets_per_episode must stay below 2^63")
         if not 0 <= self.seed < 2 ** 64:
-            raise ValidationError(f"seed must fit in 64 bits, got {self.seed}")
+            raise ValidationError(f"seed must be in [0, 2^64), got {self.seed}", field="seed")
         if isinstance(self.auth_prob, (int, float)):
-            if not 0.0 <= float(self.auth_prob) <= 1.0:
-                raise ValidationError(f"auth_prob must be in [0, 1], got {self.auth_prob}")
+            check_range("auth_prob", self.auth_prob, 0.0, 1.0)
         elif self.auth_prob is not None:
             for rid, pa in self.auth_prob.items():
-                if not 0.0 <= pa <= 1.0:
-                    raise ValidationError(
-                        f"auth_prob for relay {rid} must be in [0, 1], got {pa}")
+                check_range(f"auth_prob.{rid}", pa, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -158,8 +152,7 @@ def draw_attacker_target(
     k = len(probs)
     if ids is None:
         ids = list(range(1, k + 1))
-    if not 0.0 <= u < 1.0:
-        raise ValidationError(f"uniform draw must be in [0, 1), got {u}")
+    check_range("uniform draw", u, 0.0, 1.0, hi_open=True)
     if mode is AttackerMode.UNIFORM:
         cum = [(j + 1) / k for j in range(k)]
     else:
@@ -354,8 +347,7 @@ def check_auth_grid(grid: Sequence[float]) -> None:
     if len(grid) == 0:
         raise ValidationError("authentication grid must not be empty")
     for pa in grid:
-        if not 0.0 <= pa <= 1.0:
-            raise ValidationError(f"grid value {pa} outside [0, 1]")
+        check_range("grid value", pa, 0.0, 1.0)
 
 
 def child_seed(master: int, index: int) -> int:

@@ -18,7 +18,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from .errors import NoFeasibleMessageCountError, ValidationError
+from .errors import NoFeasibleMessageCountError, ValidationError, check_range
 
 
 class ArqMode(enum.Enum):
@@ -29,15 +29,15 @@ class ArqMode(enum.Enum):
 
 def ceil_log2(n: int) -> int:
     """ceil(log2(n)) for n >= 1, in exact integer arithmetic."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    check_range("n", n, 1)
     return (n - 1).bit_length()
 
 
 def window_size(data_rate: float, reaction_time: float, packet_bits: int) -> int:
     """Outstanding-packet window: rate * reaction time / packet size, ceiling, >= 1."""
-    if data_rate <= 0 or reaction_time <= 0 or packet_bits <= 0:
-        raise ValidationError("data_rate, reaction_time and packet_bits must be > 0")
+    check_range("data_rate", data_rate, 0.0, lo_open=True)
+    check_range("reaction_time", reaction_time, 0.0, lo_open=True)
+    check_range("packet_bits", packet_bits, 0, lo_open=True)
     return max(1, math.ceil(data_rate * reaction_time / packet_bits))
 
 
@@ -62,26 +62,23 @@ class ThroughputConfig:
     window: int | None = None
 
     def __post_init__(self) -> None:
-        if self.packet_bits <= 0:
-            raise ValidationError(f"packet_bits must be > 0, got {self.packet_bits}")
-        if self.hash_bits <= 0:
-            raise ValidationError(f"hash_bits must be > 0, got {self.hash_bits}")
-        if self.n_messages < 1:
-            raise ValidationError(f"n_messages must be >= 1, got {self.n_messages}")
-        if not 0.0 <= self.auth_prob <= 1.0:
-            raise ValidationError(f"auth_prob must be in [0, 1], got {self.auth_prob}")
-        if self.presig_time < 0:
-            raise ValidationError(f"presig_time must be >= 0, got {self.presig_time}")
+        # Direct calls, not a loop over names: with_messages builds one config
+        # per message count of every sweep.
+        check_range("packet_bits", self.packet_bits, 0, lo_open=True)
+        check_range("hash_bits", self.hash_bits, 0, lo_open=True)
+        check_range("n_messages", self.n_messages, 1)
+        check_range("auth_prob", self.auth_prob, 0.0, 1.0)
+        check_range("presig_time", self.presig_time, 0.0)
+        if self.transfer_time is not None:
+            check_range("transfer_time", self.transfer_time, 0.0, lo_open=True)
+        if self.data_rate is not None:
+            check_range("data_rate", self.data_rate, 0.0, lo_open=True)
+        if self.reaction_time is not None:
+            check_range("reaction_time", self.reaction_time, 0.0, lo_open=True)
+        if self.window is not None:
+            check_range("window", self.window, 1)
         if (self.transfer_time is None) == (self.data_rate is None):
             raise ValidationError("give exactly one of transfer_time or data_rate")
-        if self.transfer_time is not None and self.transfer_time <= 0:
-            raise ValidationError(f"transfer_time must be > 0, got {self.transfer_time}")
-        if self.data_rate is not None and self.data_rate <= 0:
-            raise ValidationError(f"data_rate must be > 0, got {self.data_rate}")
-        if self.reaction_time is not None and self.reaction_time <= 0:
-            raise ValidationError(f"reaction_time must be > 0, got {self.reaction_time}")
-        if self.window is not None and self.window < 1:
-            raise ValidationError(f"window must be >= 1, got {self.window}")
 
     @property
     def timing_model(self) -> str:
@@ -122,13 +119,10 @@ def payload_noauth(cfg: ThroughputConfig) -> float:
 
 def _arq_throughput(cfg: ThroughputConfig, p_c: float, window: int | None) -> float:
     """payload * P_c / (T_presig + T_transfer * (P_c + (1 - P_c) * W))."""
-    if not 0.0 <= p_c <= 1.0:
-        raise ValidationError(f"packet success probability must be in [0, 1], got {p_c}")
+    check_range("packet success probability", p_c, 0.0, 1.0)
     if window is None:
         raise ValidationError("go-back-N needs a window: set window or data_rate+reaction_time")
     denom = cfg.presig_time + cfg.resolved_transfer_time * (p_c + (1.0 - p_c) * window)
-    if denom <= 0:
-        raise ValidationError("total time must be > 0")
     return (payload_auth(cfg) + payload_noauth(cfg)) * p_c / denom
 
 
@@ -159,8 +153,7 @@ def sweep_messages(cfg: ThroughputConfig, n_max: int, arq: ArqMode,
                    p_c: float = 1.0) -> list[tuple[float, bool]]:
     """(throughput, feasible) at message counts 1..n_max, each evaluated once.  With
     any authentication, a count is feasible while its authenticated payload is positive."""
-    if n_max < 1:
-        raise ValidationError(f"n_max must be >= 1, got {n_max}")
+    check_range("n_max", n_max, 1)
     walk = []
     for n in range(1, n_max + 1):
         at_n = cfg.with_messages(n)
@@ -195,10 +188,7 @@ class SecurityRequirement:
     max_compromised_fraction: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.max_compromised_fraction <= 1.0:
-            raise ValidationError(
-                f"max_compromised_fraction must be in [0, 1], "
-                f"got {self.max_compromised_fraction}")
+        check_range("max_compromised_fraction", self.max_compromised_fraction, 0.0, 1.0)
 
 
 def min_auth_probability(p_star: float, requirement: SecurityRequirement) -> float:
@@ -208,8 +198,7 @@ def min_auth_probability(p_star: float, requirement: SecurityRequirement) -> flo
     throughput-preferred choice, since throughput never increases with p_a
     once the tree overhead exceeds a single hash.
     """
-    if not 0.0 <= p_star <= 1.0:
-        raise ValidationError(f"p_star must be in [0, 1], got {p_star}")
+    check_range("p_star", p_star, 0.0, 1.0)
     if p_star <= 0.0:
         return 0.0
     return max(0.0, 1.0 - requirement.max_compromised_fraction / p_star)
@@ -217,8 +206,6 @@ def min_auth_probability(p_star: float, requirement: SecurityRequirement) -> flo
 
 def compromising_probability(auth_prob: float, p_star: float) -> float:
     """Expected fraction of packets both unauthenticated and on the attacked relay."""
-    if not 0.0 <= auth_prob <= 1.0:
-        raise ValidationError(f"auth_prob must be in [0, 1], got {auth_prob}")
-    if not 0.0 <= p_star <= 1.0:
-        raise ValidationError(f"p_star must be in [0, 1], got {p_star}")
+    check_range("auth_prob", auth_prob, 0.0, 1.0)
+    check_range("p_star", p_star, 0.0, 1.0)
     return (1.0 - auth_prob) * p_star

@@ -91,6 +91,7 @@ def test_override_keys_are_the_scenario_fields():
     ('sim.auth_prob={"a": 0.5}', "scenario.sim.auth_prob"),
     ("name=5", "scenario.name"),
     ('sim.auth_prob={"1": 0.5, "99": 0.1}', "scenario.sim.auth_prob"),
+    ("game.detect_rate=1.5", "scenario.game.detect_rate must be in [0, 1]"),
 ])
 def test_bad_override_values_exit_two(capsys, override, path):
     code, _, err = run_cli(capsys, "solve", "--scenario", "military", "--set", override)

@@ -4,13 +4,18 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
+from relaygame.channel import LinkModel
 from relaygame.cli import main
 from relaygame.errors import ValidationError
+from relaygame.game import GameParams, RelayProfile
 from relaygame.scenario import (
+    _TABLE,
     canonical_json,
+    field_names,
     load_scenario,
     presets,
     save_scenario,
@@ -18,6 +23,8 @@ from relaygame.scenario import (
     scenario_hash,
     scenario_to_dict,
 )
+from relaygame.sim import SimConfig
+from relaygame.throughput import SecurityRequirement, ThroughputConfig
 
 
 def test_military_preset_parameters(military):
@@ -79,11 +86,44 @@ def test_db_and_linear_together_rejected(military):
         scenario_from_dict(data)
 
 
+#: One out-of-range value per ranged field of the table, by JSON section.
+OUT_OF_RANGE = {
+    "game": {"detect_rate": 1.5, "false_alarm_rate": -0.1, "attack_cost": -1.0,
+             "monitor_cost": -0.5, "false_alarm_loss": -2.0, "weight_info": -1.0,
+             "weight_security": -0.25},
+    "relays[1]": {"info_asset": -1.0, "sec_asset": -0.5},
+    "relays[1].link": {"target_rate": 600.0, "snr_avg": 0.0, "pathloss_exp": -1.0,
+                       "dist_sr": 0.0, "dist_rd": -2.0, "snr_sd": -1.0, "snr_sr": 0.0,
+                       "snr_rd": -3.0},
+    "throughput": {"packet_bits": 0, "hash_bits": -160, "n_messages": 0, "auth_prob": 1.5,
+                   "presig_time": -0.1, "transfer_time": 0.0, "data_rate": 0.0,
+                   "reaction_time": -1.0, "window": 0},
+    "security": {"max_compromised_fraction": 2.0},
+    "sim": {"episodes": 0, "packets_per_episode": 0, "seed": -1, "auth_prob": -0.5},
+}
+SECTION_CLASS = {"game": GameParams, "relays[1]": RelayProfile, "relays[1].link": LinkModel,
+                 "throughput": ThroughputConfig, "security": SecurityRequirement,
+                 "sim": SimConfig}
+UNRANGED = {(RelayProfile, "id"), (SimConfig, "attacker_mode"), (SimConfig, "source_mode"),
+            (SimConfig, "refined_detection")}
+
+
 def test_validation_names_field_paths(military):
-    data = scenario_to_dict(military)
-    data["game"]["detect_rate"] = 1.5
-    with pytest.raises(ValidationError, match=r"scenario\.game.*detect_rate"):
-        scenario_from_dict(data)
+    covered = {(SECTION_CLASS[section], key)
+               for section, fields in OUT_OF_RANGE.items() for key in fields}
+    assert covered == {(cls, name) for cls in _TABLE for name in field_names(cls)} - UNRANGED
+    for section, fields in OUT_OF_RANGE.items():
+        for key, value in fields.items():
+            data = scenario_to_dict(military)
+            node = data
+            for part in section.replace("[1]", ".1").split("."):
+                node = node[int(part)] if part.isdigit() else node[part]
+            node[key] = value
+            if key == "transfer_time":
+                del node["data_rate"]    # exactly one of the two may be given
+            path = re.escape(f"scenario.{section}.{key}")
+            with pytest.raises(ValidationError, match=rf"^{path} must be"):
+                scenario_from_dict(data)
 
     data = scenario_to_dict(military)
     del data["game"]["attack_cost"]
