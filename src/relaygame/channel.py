@@ -4,6 +4,11 @@ Closed-form outage and BER expressions plus a seeded Monte Carlo estimator of
 the cooperative outage event.  All SNRs here are linear ratios; dB conversion
 happens only at the scenario-loading boundary.
 
+The estimator draws each block of episodes in two stages: the direct gain of
+every episode, then the two relay-hop gains of the episodes whose direct path
+failed (of every episode, in a block where nearly all failed), since under
+selection decode-and-forward no other episode can be in outage.
+
 Monte Carlo fading convention: squared channel gains are exponentially
 distributed with mean dist^-pathloss_exp (unit mean for the source-destination
 hop) and a common SNR multiplier ``snr_avg``.  Under this convention the
@@ -136,15 +141,35 @@ def outage_closed_form(link: LinkModel) -> float:
 
 def count_outages(rng: np.random.Generator, link: LinkModel, trials: int) -> int:
     """Outage events among ``trials`` fading realisations of ``link`` (module
-    convention), drawn OUTAGE_CHUNK at a time so memory stays bounded."""
+    convention), drawn OUTAGE_CHUNK at a time so memory stays bounded.
+
+    Each block is drawn in two stages: the direct gains g_sd of every episode,
+    then one relay-hop pair (g_sr, g_rd) for each episode whose direct path
+    failed, in episode order.  An episode whose direct path carries the rate
+    is never in outage, so its relay hops are not needed: E * (1 + 2 P(direct
+    fails)) exponentials instead of 3E.  When more than 7/8 of a block's
+    direct paths failed, picking them out costs more than the draws it saves,
+    so that block draws a pair for every episode instead.  The count is still
+    that of ``outage_event`` over per-episode fading, and no closed form
+    enters it.
+    """
     mean_sr = link.dist_sr ** -link.pathloss_exp
     mean_rd = link.dist_rd ** -link.pathloss_exp
-    thresholds = outage_thresholds(link.target_rate)
+    t_direct, t_relay = outage_thresholds(link.target_rate)
+    snr = link.snr_avg
     hits = 0
     for start in range(0, trials, OUTAGE_CHUNK):
-        g = rng.standard_exponential((3, min(OUTAGE_CHUNK, trials - start)))
+        size = min(OUTAGE_CHUNK, trials - start)
+        g_sd = rng.standard_exponential(size)
+        failed = g_sd * snr < t_direct          # outage_event's direct-path term
+        m = int(np.count_nonzero(failed))
+        if 8 * m > 7 * size:
+            m = size
+        else:
+            g_sd = np.compress(failed, g_sd)    # g_sd[failed] is 2-4x slower here
+        g_sr, g_rd = rng.standard_exponential((2, m))
         hits += int(np.count_nonzero(outage_event(
-            g[0], g[1] * mean_sr, g[2] * mean_rd, link.snr_avg, *thresholds)))
+            g_sd, g_sr * mean_sr, g_rd * mean_rd, snr, t_direct, t_relay)))
     return hits
 
 

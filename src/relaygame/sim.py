@@ -10,18 +10,22 @@ probability (1 - detect_rate); it is exploratory and off by default.
 
 Count-level engine: every counter but outage is a sum of independent
 categorical or Bernoulli draws, so one PCG64 generator seeded from
-SimConfig.seed draws the sums, in this order (vectors over the relay list):
-the K x K (target, selected) episode table as one Multinomial(E, P x Q), whose
-row sums are the attacker counts, column sums n_j the source counts and
-diagonal h_j the hits (P is 1/K in uniform mode, Q one-hot in best-utility
-mode); authenticated hit packets a_j ~ Bin(h_j * packets, p_a), the other
-authenticated packets Bin((n_j - h_j) * packets, p_a), compromised =
-h_j * packets - a_j (refined mode adds Bin(a_j, 1 - detect_rate)); errored
-packets Bin(n_j * packets, 1 - P_c); then outage, relay by relay: n_j fading
-realisations of the relay's link, one per episode, in blocks of
-channel.OUTAGE_CHUNK, so the simulated rate stays an independent check of the
-closed form.  Memory is O(K^2 + OUTAGE_CHUNK) whatever the episode count, and
-equal configs give byte-identical reports.
+SimConfig.seed draws the sums in two stages.  The count stage, vectors over
+the relay list: the K x K (target, selected) episode table as one
+Multinomial(E, P x Q), whose row sums are the attacker counts, column sums n_j
+the source counts and diagonal h_j the hits (P is 1/K in uniform mode, Q
+one-hot in best-utility mode); authenticated hit packets a_j ~ Bin(h_j *
+packets, p_a), the other authenticated packets Bin((n_j - h_j) * packets,
+p_a), compromised = h_j * packets - a_j (refined mode adds Bin(a_j, 1 -
+detect_rate)); errored packets Bin(n_j * packets, 1 - P_c).  Then the outage
+stage, relay by relay: n_j fading realisations of the relay's link, one per
+episode, in blocks of channel.OUTAGE_CHUNK, each block drawing every direct
+gain and then the relay-hop gains of the episodes whose direct path failed
+(channel.count_outages), so the simulated rate stays an independent check of
+the closed form.  The outage stage comes last, so no other counter depends on
+it, and the compromise curve runs the count stage alone.  Memory is O(K^2 +
+OUTAGE_CHUNK) whatever the episode count, and equal configs give
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .throughput import (
     throughput_for_mode,
 )
 
-RNG_ALGORITHM = "numpy-pcg64/counts-1"
+RNG_ALGORITHM = "numpy-pcg64/counts-2"
 
 
 class AttackerMode(enum.Enum):
@@ -202,24 +206,31 @@ def draw_selection_table(
     return rng.multinomial(episodes, cells / cells.sum()).reshape(len(p_attack), -1)
 
 
-def run_simulation(
-    scenario, sim: SimConfig, solution: EquilibriumSolution | None = None
-) -> SimReport:
-    """Simulate repeated play of a solved scenario and tally outcomes.
+@dataclass(frozen=True)
+class _Counts:
+    """The count stage of one run: every counter but outage, as vectors over
+    the relay list, and the generator the outage stage continues."""
 
-    ``solution`` must come from solving the same scenario first (passing None
-    is an ordering misuse and raises).  Returns aggregate and per-relay
-    selection, compromise, packet-error and outage counters, plus empirical
-    ARQ throughput computed from the observed packet-success frequency.
-    """
-    if solution is None:
-        raise ValidationError("scenario must be solved before simulating")
-    profiles = scenario.profiles
-    links = scenario.links
-    k = len(profiles)
-    ids = [pr.id for pr in profiles]
+    rng: np.random.Generator
+    auth_by_id: dict[int, float]
+    q_select: np.ndarray
+    pa_vec: np.ndarray
+    p_c: np.ndarray
+    table: np.ndarray          # episodes by (target, selected) relay index
+    selected: np.ndarray       # the table's column sums
+    authenticated: np.ndarray
+    compromised: np.ndarray
+    errored: np.ndarray
+
+
+def _count_stage(scenario, sim: SimConfig, solution: EquilibriumSolution,
+                 ids: list[int]) -> _Counts:
+    """Draw the table, the authentication binomials, the refined-detection
+    leak and the errored packets, in that order, from a generator seeded
+    with ``sim.seed``."""
+    k = len(ids)
     auth_by_id = resolve_auth(scenario, sim, ids)
-    episodes, ppe = sim.episodes, sim.packets_per_episode
+    ppe = sim.packets_per_episode
 
     if sim.attacker_mode is AttackerMode.UNIFORM:
         p_attack = np.full(k, 1.0 / k)
@@ -236,11 +247,11 @@ def run_simulation(
             ber_end_to_end(ln.target_rate, ln.snr_sd, ln.snr_sr, ln.snr_rd),
             scenario.throughput.packet_bits,
         )
-        for ln in links
+        for ln in scenario.links
     ])
 
     rng = np.random.default_rng(sim.seed)
-    table = draw_selection_table(rng, episodes, p_attack, q_select)
+    table = draw_selection_table(rng, sim.episodes, p_attack, q_select)
     selected, hits = table.sum(axis=0), np.diagonal(table)
     auth_hit = rng.binomial(hits * ppe, pa_vec)
     auth_other = rng.binomial((selected - hits) * ppe, pa_vec)
@@ -248,18 +259,40 @@ def run_simulation(
     if sim.refined_detection:
         compromised += rng.binomial(auth_hit, 1.0 - scenario.game.detect_rate)
     errored = rng.binomial(selected * ppe, 1.0 - p_c)
-    outages = [count_outages(rng, ln, n) for ln, n in zip(links, selected.tolist())]
+    return _Counts(rng, auth_by_id, q_select, pa_vec, p_c, table, selected,
+                   auth_hit + auth_other, compromised, errored)
+
+
+def run_simulation(
+    scenario, sim: SimConfig, solution: EquilibriumSolution | None = None
+) -> SimReport:
+    """Simulate repeated play of a solved scenario and tally outcomes.
+
+    ``solution`` must come from solving the same scenario first (passing None
+    is an ordering misuse and raises).  Returns aggregate and per-relay
+    selection, compromise, packet-error and outage counters, plus empirical
+    ARQ throughput computed from the observed packet-success frequency.
+    """
+    if solution is None:
+        raise ValidationError("scenario must be solved before simulating")
+    profiles = scenario.profiles
+    links = scenario.links
+    ids = [pr.id for pr in profiles]
+    episodes, ppe = sim.episodes, sim.packets_per_episode
+    c = _count_stage(scenario, sim, solution, ids)
+    # The outage stage comes last, so the other counters never depend on it.
+    outages = [count_outages(c.rng, ln, n) for ln, n in zip(links, c.selected.tolist())]
 
     packets_total = episodes * ppe
-    compromised_total = int(compromised.sum())
+    compromised_total = int(c.compromised.sum())
     comp_rate, comp_se = _rate_stderr(compromised_total, packets_total)
-    err_total = int(errored.sum())
-    attacker_counts = table.sum(axis=1).tolist()
+    err_total = int(c.errored.sum())
+    attacker_counts = c.table.sum(axis=1).tolist()
 
     per_relay = []
     for pr, ln, att_eps, sel_eps, comp_j, err_j, out_j, pc_j in zip(
-            profiles, links, attacker_counts, selected.tolist(), compromised.tolist(),
-            errored.tolist(), outages, p_c.tolist()):
+            profiles, links, attacker_counts, c.selected.tolist(), c.compromised.tolist(),
+            c.errored.tolist(), outages, c.p_c.tolist()):
         packets_j = sel_eps * ppe
         rate_j, se_j = _rate_stderr(comp_j, packets_j)
         per_relay.append(RelaySimStats(
@@ -274,7 +307,7 @@ def run_simulation(
             outage_rate=out_j / sel_eps if sel_eps else 0.0,
             outage_closed_form=outage_closed_form(ln),
             packet_success_analytical=pc_j,
-            auth_prob=auth_by_id[pr.id],
+            auth_prob=c.auth_by_id[pr.id],
         ))
 
     # ARQ throughput: empirical uses the observed packet-success frequency,
@@ -282,10 +315,10 @@ def run_simulation(
     # selection probabilities.  The payload terms use the selection-weighted
     # authentication probability, which the per-packet Bernoulli draws
     # converge to.
-    pc_analytical = min(1.0, max(0.0, float(q_select @ p_c)))
+    pc_analytical = min(1.0, max(0.0, float(c.q_select @ c.p_c)))
     pc_empirical = 1.0 - err_total / packets_total
     # Convex combinations; clip pure round-off back into [0, 1].
-    pa_effective = min(1.0, max(0.0, float(q_select @ pa_vec)))
+    pa_effective = min(1.0, max(0.0, float(c.q_select @ c.pa_vec)))
     cfg = replace(scenario.throughput, auth_prob=pa_effective)
     throughput_rows = tuple(
         (mode.value,
@@ -294,7 +327,7 @@ def run_simulation(
         for mode in (ArqMode.GENERAL, ArqMode.SR, ArqMode.GBN)
         if not (mode is ArqMode.GBN and cfg.resolved_window is None)
     )
-    auth_total = int(auth_hit.sum() + auth_other.sum())
+    auth_total = int(c.authenticated.sum())
 
     notes = []
     if sim.attacker_mode is AttackerMode.UNIFORM:
@@ -309,9 +342,9 @@ def run_simulation(
         source_mode=sim.source_mode.value,
         refined_detection=sim.refined_detection,
         rng_algorithm=RNG_ALGORITHM,
-        auth_prob=tuple(sorted(auth_by_id.items())),
+        auth_prob=tuple(sorted(c.auth_by_id.items())),
         attacker_counts=tuple(zip(ids, attacker_counts)),
-        source_counts=tuple(zip(ids, selected.tolist())),
+        source_counts=tuple(zip(ids, c.selected.tolist())),
         packets_total=packets_total,
         compromised_total=compromised_total,
         compromise_rate=comp_rate,
@@ -364,9 +397,10 @@ def estimate_compromise_curve(
 ) -> tuple[CompromisePoint, ...]:
     """Sweep the authentication probability and compare bound vs simulation.
 
-    One simulation runs per grid point under a derived sub-seed; the empirical
-    column is the compromise rate conditional on the conditioning relay
-    (default: the relay the attacker targets most).
+    The count stage of one simulation runs per grid point under a derived
+    sub-seed, so each point equals ``run_simulation``'s at that seed; the
+    empirical column is the compromise rate conditional on the conditioning
+    relay (default: the relay the attacker targets most).
     """
     check_auth_grid(grid)
     ids = [pr.id for pr in scenario.profiles]
@@ -374,19 +408,21 @@ def estimate_compromise_curve(
         relay_id = most_attacked_relay(scenario.profiles, solution)
     elif relay_id not in ids:
         raise ValidationError(f"unknown relay id {relay_id}")
-    p_star = solution.attacker.probs[ids.index(relay_id)]
+    j = ids.index(relay_id)
+    p_star = solution.attacker.probs[j]
 
     points = []
     for idx, pa in enumerate(grid):
         seed = child_seed(sim.seed, idx)
-        report = run_simulation(
-            scenario, replace(sim, seed=seed, auth_prob=float(pa)), solution)
-        stats = next(r for r in report.per_relay if r.relay_id == relay_id)
+        counts = _count_stage(
+            scenario, replace(sim, seed=seed, auth_prob=float(pa)), solution, ids)
+        empirical, stderr = _rate_stderr(
+            int(counts.compromised[j]), int(counts.selected[j]) * sim.packets_per_episode)
         points.append(CompromisePoint(
             auth_prob=float(pa),
             analytical=(1.0 - pa) * p_star,
-            empirical=stats.compromise_rate,
-            stderr=stats.compromise_stderr,
+            empirical=empirical,
+            stderr=stderr,
             seed=seed,
         ))
     return tuple(points)

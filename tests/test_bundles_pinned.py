@@ -26,41 +26,41 @@ COMMANDS = {
 
 PINNED = {
     ("military", "solve"):
-        "e0f64cd662cc64fe1800a4edc65ce3461447ffeef11c68877f4eee7aa8597698",
+        "8158505087625b91056f3283afb743ae37866fdbbb5439b6fe7a67723f4cc284",
     ("military", "sweep-n-general"):
-        "c17c264e8043453ba6adb45d7f011d9bc8f6d9e225c04a9c5475138b9c8ea98b",
+        "2737eddafc663a89af2cc8a21be28afae3d11279901f32eb7ab0f77dc16e000d",
     ("military", "sweep-n-sr"):
-        "ce3b178d4c3ccce0460ef6bfebd0448f9d524a8572971501a84c48967b2448da",
+        "e682126668c9fe67756ed2a13e93865da956b692612574232f8f166e1fe70369",
     ("military", "sweep-n-gbn"):
-        "db42a6d5e3aab1d954a651dfc6a041779c5fa4a2540b793ed0450d99e21f4944",
+        "0dfff410152859b59f72ef3c6d8a8c337ca67836a103fffd01036d74fddc4816",
     ("military", "sweep-auth"):
-        "d711e2bec2d65c5b95012496d0d3753142adafbc09027ec2935900ed6d1ede1a",
+        "400353c9d2c5a1277faa059adb41348ae360e5acce310cefc08321d879ff58be",
     ("military", "sweep-auth-simulate"):
-        "7dae6c8e511152535a4c4e9be291ff9156d8b80d4b001176317b75880dd15aa0",
+        "f8543a9956ddaf52cbd5aaf2684bb6f4a6496d66bfa4f3848bb49f0302d892a0",
     ("military", "simulate"):
-        "3961a3890c20b1159d75a683e08c35f93c25f0eca7ee69597406e939fa19ea1a",
+        "2b4ba28ca9db338fcbd34cc8b9802eabb5bb70a3e1cee3c3cd2aeba92d8e8771",
     ("military", "simulate-auth-policy"):
-        "858322ec49ef5172dedae15416d4ddc66f5c5e722e208a7a2897154952a030ae",
+        "8df665a9de201d40bd7864b00a36abea4310a0675b9739ed4bc093a44aecfbee",
     ("military", "outage-check"):
-        "071d8541da712f9a4641b51a1e96b051b23178369ec7750e2afe3cc563422131",
+        "d8527a6757e4b8574da90cab8bd9e87e762014241051d09677f1eead5cf28210",
     ("commercial", "solve"):
-        "57102d4e4763892176cfb06b3135ae2d4849800c13f7663ac5249670d55dd522",
+        "1f7ff17bc4755954074a0104c3e7a3a32bb8eb106bc045eb878e0222a560b800",
     ("commercial", "sweep-n-general"):
-        "cc8b53f83a786169353301e2d14e03973d1739b676eb0ba8da9b5c68bab4071b",
+        "6a228d648c956d0d37836cf51729df1520894f786a11c53d94884086ead9f9a5",
     ("commercial", "sweep-n-sr"):
-        "c853e0c7b90ce2244a6c2a653c84205e6a5f48860ca7fda7b97a995a740f7e1f",
+        "fd729e18c17e698047af84eebbba9d101166ae1f16a13602bdff01b63823dfbc",
     ("commercial", "sweep-n-gbn"):
-        "ef2f5a872705e5df36d71959b5168750ee12ec8786646a4a995c851bb6360882",
+        "852fc59685d06786b7db89dcf8a763f1088383da7eb2459578ce0c2498d7ce76",
     ("commercial", "sweep-auth"):
-        "b873ef9a9365c4ee050eb865b888bdf0abcf16391de53ce80fe32463a5601461",
+        "3766965675190383fde323e36681e685f30e3370691046a3e9995fc171cf8a3c",
     ("commercial", "sweep-auth-simulate"):
-        "736b145c2be3bcad84fddca15be6b09cbbfe348856cffee3bd0c12879710506a",
+        "64712c09f9caab441cbf6f196a3cfd6fe2fa6b548c9276d3a7b997da939b12af",
     ("commercial", "simulate"):
-        "5c459d9441ff34fa24c4022e4c61e9290581b0b4187da4d292342a97af1d1205",
+        "15698b18e75f3a6297df43c864d7f439f5988b74e4f7e5b0a7c4182ae3fa2352",
     ("commercial", "simulate-auth-policy"):
-        "0365d597c5c8e826e52c5e09a954195e3cadad9e63b3afd50c62ebfee466bd95",
+        "1ac8111283fa4bd9c26da4d6562e2cab0ccce250915dffe3037d8e7882b574f7",
     ("commercial", "outage-check"):
-        "00ecdd48250241d949aeee0bc108b024ff44825ba25a0f7ed96413b5b10845f5",
+        "69b2127086f37b85740533344bdb34fa1803b6a39f3b7a9e5220ce9f4cccd00b",
 }
 
 

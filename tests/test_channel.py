@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import chi2
 
 from relaygame.channel import (
+    OUTAGE_CHUNK,
     ChannelDraw,
     LinkModel,
     ber_direct,
     ber_diversity,
     ber_end_to_end,
     cooperative_outage_event,
+    count_outages,
     mutual_info_direct,
     mutual_info_mrc,
     mutual_info_source_relay,
@@ -275,6 +278,77 @@ def test_outage_monte_carlo_tracks_closed_form():
         lm = link(rate=1.0, snr=10.0, d_rd=d_rd)
         estimate = outage_monte_carlo(lm, 200_000, seed=7)
         assert abs(estimate.probability - outage_closed_form(lm)) <= 5e-3
+
+
+def link_failing_direct(p_direct, snr, **geometry):
+    """A link whose direct path fails with probability ``p_direct``:
+    P(g_sd * snr < 2^R - 1) = 1 - exp(-(2^R - 1) / snr) for unit-mean g_sd."""
+    return link(rate=math.log2(1.0 + snr * -math.log1p(-p_direct)), snr=snr, **geometry)
+
+
+# The sampler draws relay-hop gains only where the direct path failed, so its
+# work and its gather step change with that rate; each geometry below checks
+# the estimate against the closed form over pinned seeds, in the style of the
+# simulator's equivalence gates.  The 0.5 geometry takes the closed form's
+# dist_rd = 1 limit branch.
+DIRECT_FAILURE_GEOMETRIES = {
+    "p_direct=1e-4": (link_failing_direct(1e-4, 1e4, d_sr=100.0, d_rd=100.0), 400_000),
+    "p_direct=0.1": (link_failing_direct(0.1, 10.0, d_rd=1.5), 40_000),
+    "p_direct=0.5": (link_failing_direct(0.5, 0.1, d_sr=0.5, d_rd=1.0), 40_000),
+    "p_direct=0.995": (link_failing_direct(0.995, 1.0, d_sr=0.1, d_rd=0.1), 40_000),
+}
+
+
+@pytest.mark.parametrize("name", list(DIRECT_FAILURE_GEOMETRIES))
+def test_outage_monte_carlo_across_direct_failure_rates(name):
+    lm, trials = DIRECT_FAILURE_GEOMETRIES[name]
+    p = outage_closed_form(lm)
+    zs = [(outage_monte_carlo(lm, trials, seed).probability - p)
+          / math.sqrt(p * (1.0 - p) / trials) for seed in range(100)]
+    n = len(zs)
+    assert abs(sum(zs) / n) <= 4.0 / math.sqrt(n), f"mean z {sum(zs) / n:.3f}"
+    ss = sum(z * z for z in zs)
+    assert chi2.ppf(0.0005, n) < ss < chi2.ppf(0.9995, n), f"sum z^2 {ss:.1f} of {n}"
+
+
+def count_outages_by_definition(rng, lm, trials):
+    """The documented draw order, written out: per block the direct gains of
+    every episode, then a relay-hop pair for each failed one in order, or for
+    every episode when more than 7/8 of them failed."""
+    t_direct, t_relay = outage_thresholds(lm.target_rate)
+    hits = 0
+    for start in range(0, trials, OUTAGE_CHUNK):
+        g_sd = rng.standard_exponential(min(OUTAGE_CHUNK, trials - start))
+        failed = [g for g in g_sd if g * lm.snr_avg < t_direct]
+        if len(failed) > 7 / 8 * len(g_sd):
+            failed = g_sd
+        pairs = rng.standard_exponential((2, len(failed)))
+        hits += sum(bool(outage_event(
+            g, g_sr * lm.dist_sr ** -lm.pathloss_exp, g_rd * lm.dist_rd ** -lm.pathloss_exp,
+            lm.snr_avg, t_direct, t_relay)) for g, g_sr, g_rd in zip(failed, *pairs))
+    return hits
+
+
+@pytest.mark.parametrize("p_direct", [0.01, 0.5, 0.85, 0.95, 1.0])
+def test_count_outages_draws_in_documented_order(p_direct):
+    # 0.85 and 0.95 sit on either side of the 7/8 switch, and 1.0 fails every
+    # direct path; two full blocks and a partial one.
+    lm = (link(rate=511.99, snr=1.0) if p_direct == 1.0
+          else link_failing_direct(p_direct, 1.0, d_sr=0.3, d_rd=0.7))
+    trials = 2 * OUTAGE_CHUNK + 1234
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    assert count_outages(rng_a, lm, trials) == count_outages_by_definition(rng_b, lm, trials)
+    # Both generators end in the same state, so a caller's next draw agrees.
+    assert rng_a.random() == rng_b.random()
+
+
+def test_outage_monte_carlo_edge_counts():
+    # Every direct path fails at rate 511.99, and none at a huge SNR, where
+    # no relay-hop gain is drawn at all.
+    certain = outage_monte_carlo(link(rate=511.99, snr=1.0), 3 * OUTAGE_CHUNK + 7, seed=2)
+    assert certain.probability == 1.0 and certain.stderr == 0.0
+    never = outage_monte_carlo(link(rate=1.0, snr=1e15), 3 * OUTAGE_CHUNK + 7, seed=2)
+    assert never.probability == 0.0 and never.stderr == 0.0
 
 
 def test_cooperative_outage_event_matches_scalar_forms():

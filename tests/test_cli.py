@@ -178,7 +178,7 @@ def test_simulate_writes_deterministic_bundle(capsys, tmp_path):
     bundle = json.loads(a.read_text())
     assert bundle["provenance"]["seed"] == 42
     assert bundle["provenance"]["scenario_hash"]
-    assert bundle["simulation"]["rng_algorithm"] == "numpy-pcg64/counts-1"
+    assert bundle["simulation"]["rng_algorithm"] == "numpy-pcg64/counts-2"
     assert bundle["provenance"]["outage_chunk"] == 32768
 
 

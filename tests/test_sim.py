@@ -10,14 +10,17 @@ from scipy.stats import chi2
 
 from relaygame.errors import ValidationError
 from relaygame.game import MixedStrategy, solve_equilibrium
+from relaygame import sim as sim_module
 from relaygame.scenario import canonical_json
 from relaygame.sim import (
     AttackerMode,
     SimConfig,
     SourceMode,
+    child_seed,
     draw_attacker_target,
     draw_selection_table,
     estimate_compromise_curve,
+    most_attacked_relay,
     policy_auth_probs,
     run_simulation,
 )
@@ -238,6 +241,49 @@ def test_compromise_curve(military, military_solution):
     assert len({pt.seed for pt in curve}) == 3
 
 
+@pytest.mark.parametrize("preset,fields", [
+    ("military", {}),
+    ("commercial", {}),
+    ("military", {"refined_detection": True, "packets_per_episode": 3}),
+    ("commercial", {"attacker_mode": AttackerMode.UNIFORM,
+                    "source_mode": SourceMode.BEST_UTILITY}),
+], ids=["military", "commercial", "military-refined", "commercial-uniform-best"])
+def test_compromise_curve_equals_full_runs(request, preset, fields):
+    """The curve runs only the count stage, so each point is the full run's
+    per-relay compromise rate at the same child seed, bit for bit."""
+    scenario = request.getfixturevalue(preset)
+    solution = scenario.solution
+    sim = SimConfig(episodes=30_000, seed=47, **fields)
+    grid = [0.0, 0.3, 0.7, 1.0]
+    for relay_id in (None, 2):
+        curve = estimate_compromise_curve(scenario, grid, sim, solution, relay_id)
+        rid = relay_id or most_attacked_relay(scenario.profiles, solution)
+        for idx, (pa, point) in enumerate(zip(grid, curve)):
+            assert point.seed == child_seed(sim.seed, idx)
+            report = run_simulation(
+                scenario, replace(sim, seed=point.seed, auth_prob=pa), solution)
+            stats = next(r for r in report.per_relay if r.relay_id == rid)
+            assert (point.empirical, point.stderr) == (
+                stats.compromise_rate, stats.compromise_stderr)
+
+
+@pytest.mark.parametrize("refined", [False, True])
+def test_outage_is_the_last_stage(monkeypatch, military, military_solution, refined):
+    """No counter but outage depends on the outage draws: with the outage
+    stage stubbed out every other field of the report is unchanged."""
+    sim = SimConfig(episodes=40_000, packets_per_episode=2, seed=53,
+                    auth_prob={1: 0.2, 2: 0.5, 3: 0.7, 4: 0.9}, refined_detection=refined)
+    real = run_simulation(military, sim, military_solution).to_dict()
+    monkeypatch.setattr(sim_module, "count_outages", lambda rng, link, trials: 0)
+    stubbed = run_simulation(military, sim, military_solution).to_dict()
+    assert any(r["outage_rate"] > 0 for r in real["per_relay"])
+    assert all(r["outage_rate"] == 0.0 for r in stubbed["per_relay"])
+    for report in (real, stubbed):
+        for r in report["per_relay"]:
+            del r["outage_rate"]
+    assert real == stubbed
+
+
 def test_compromise_curve_single_point(military, military_solution):
     (point,) = estimate_compromise_curve(
         military, [1.0], SimConfig(episodes=20_000, seed=41), military_solution)
@@ -363,20 +409,46 @@ def test_selection_table_matches_product_distribution(
     assert pearson(pooled, runs) < chi2.ppf(0.9995, df)
 
 
+def with_links(scenario, **fields):
+    """The scenario with each relay's link fields replaced; a tuple value
+    gives one value per relay.  Links do not enter the equilibrium."""
+    return replace(scenario, links=tuple(
+        replace(ln, **{f: v[j] if isinstance(v, tuple) else v for f, v in fields.items()})
+        for j, ln in enumerate(scenario.links)))
+
+
+# Two more link geometries enter only the outage gate.  At high SNR the direct
+# path fails in about 3 % of episodes, so relay hops are drawn for few of
+# them; at low SNR it fails in about 99 %, so they are drawn for nearly all.
+OUTAGE_GEOMETRIES = {
+    "outage-high-snr": dict(snr_avg=30.0, dist_sr=3.0, dist_rd=(2.0, 3.0, 4.0, 5.0)),
+    "outage-low-snr": dict(target_rate=2.5, snr_avg=1.0, dist_sr=0.1,
+                           dist_rd=(0.05, 0.1, 0.15, 0.2)),
+}
+
+
+def outage_z_scores(report, zs):
+    for stats in report.per_relay:
+        n, p_out = stats.source_episodes, stats.outage_closed_form
+        outages = round(stats.outage_rate * n)
+        z_score(outages, n * p_out, n * p_out * (1 - p_out), zs)
+
+
 @pytest.mark.parametrize("attacker_mode,source_mode,refined", MODES, ids=MODE_IDS)
 def test_counters_match_per_episode_distribution(
         military, military_solution, attacker_mode, source_mode, refined):
     # Distinct relay-destination distances give each relay its own outage
-    # probability; links do not enter the equilibrium.
-    military = replace(military, links=tuple(
-        replace(ln, dist_rd=d) for ln, d in zip(military.links, (0.5, 1.0, 1.5, 2.0))))
+    # probability.
+    geometries = {name: with_links(military, **fields)
+                  for name, fields in OUTAGE_GEOMETRIES.items()}
+    military = with_links(military, dist_rd=(0.5, 1.0, 1.5, 2.0))
     p, q = mode_strategies(military_solution, attacker_mode, source_mode)
     e, ppe = EQUIVALENCE_EPISODES, EQUIVALENCE_PACKETS
     pa = np.array([EQUIVALENCE_AUTH[i] for i in (1, 2, 3, 4)])
     # Per-packet compromise probability on an episode whose target is selected.
     c = (1 - pa) + (pa * (1 - military.game.detect_rate) if refined else 0.0)
     zs = {name: [] for name in ("attacker", "source", "compromised",
-                                "authenticated", "errored", "outage")}
+                                "authenticated", "errored", "outage", *geometries)}
     for seed in EQUIVALENCE_SEEDS:
         sim = SimConfig(episodes=e, packets_per_episode=ppe, seed=seed,
                         attacker_mode=attacker_mode, source_mode=source_mode,
@@ -402,10 +474,10 @@ def test_counters_match_per_episode_distribution(
             errored = round(stats.packet_error_rate * stats.packets)
             z_score(errored, stats.packets * p_err, stats.packets * p_err * (1 - p_err),
                     zs["errored"])
-            p_out = stats.outage_closed_form
-            outages = round(stats.outage_rate * n)
-            z_score(outages, n * p_out, n * p_out * (1 - p_out), zs["outage"])
+        outage_z_scores(report, zs["outage"])
         z_score(report.authenticated_total, auth_mean, auth_var, zs["authenticated"])
+        for name, scenario in geometries.items():
+            outage_z_scores(run_simulation(scenario, sim, military_solution), zs[name])
     if source_mode is SourceMode.BEST_UTILITY:
         assert zs.pop("source") == []      # every count was the exact one
     for name, scores in zs.items():
