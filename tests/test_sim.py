@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from relaygame import sim as sim_module
 from relaygame.errors import ValidationError
 from relaygame.game import MixedStrategy, solve_equilibrium
-from relaygame import sim as sim_module
 from relaygame.scenario import canonical_json
 from relaygame.sim import (
     AttackerMode,
