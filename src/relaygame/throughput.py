@@ -9,7 +9,9 @@ error, and reporting layers decide whether to omit such rows.
 Every ARQ throughput is payload * P_c / (T_presig + T_transfer * (P_c + (1 - P_c) * W))
 for packet-success probability P_c and window W.  Go-back-N takes the resolved
 window; selective repeat is W = 1, where the bracket is exactly 1.0 for every
-P_c in [0, 1] in IEEE doubles; the general throughput is P_c = 1.
+P_c in [0, 1] in IEEE doubles; the general throughput is P_c = 1.  A sweep over
+message counts validates its arguments once, then evaluates that one formula
+per n without copying the config.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ class ThroughputConfig:
     window: int | None = None
 
     def __post_init__(self) -> None:
-        # Direct calls, not a loop over names: with_messages builds one config
-        # per message count of every sweep.
+        # One direct call per field.  Sweeps over n evaluate without copying
+        # the config, so these run once per config built, not once per n.
         check_range("packet_bits", self.packet_bits, 0, lo_open=True)
         check_range("hash_bits", self.hash_bits, 0, lo_open=True)
         check_range("n_messages", self.n_messages, 1)
@@ -86,9 +88,7 @@ class ThroughputConfig:
 
     @property
     def resolved_transfer_time(self) -> float:
-        if self.transfer_time is not None:
-            return self.transfer_time
-        return self.n_messages * self.packet_bits / self.data_rate
+        return _transfer_time(self, self.n_messages)
 
     @property
     def resolved_window(self) -> int | None:
@@ -104,41 +104,76 @@ class ThroughputConfig:
 
     def auth_payload_per_packet(self) -> int:
         """Usable bits of one authenticated packet; <= 0 means infeasible."""
-        return self.packet_bits - self.hash_bits * (ceil_log2(self.n_messages) + 1)
+        return _auth_payload(self, self.n_messages)
+
+
+# The per-n kernels below take an already validated config and n >= 1 and
+# check nothing: a sweep calls them once per message count.
+
+def _transfer_time(cfg: ThroughputConfig, n: int) -> float:
+    if cfg.transfer_time is not None:
+        return cfg.transfer_time
+    return n * cfg.packet_bits / cfg.data_rate
+
+
+def _auth_payload(cfg: ThroughputConfig, n: int) -> int:
+    # (n - 1).bit_length() is ceil_log2(n) without its range check.
+    return cfg.packet_bits - cfg.hash_bits * ((n - 1).bit_length() + 1)
+
+
+def _payloads(cfg: ThroughputConfig, n: int, per_packet: int) -> tuple[float, float]:
+    """(authenticated, unauthenticated) payload per pre-signature at n messages."""
+    return (n * cfg.auth_prob * per_packet,
+            n * (1.0 - cfg.auth_prob) * (cfg.packet_bits - cfg.hash_bits))
+
+
+def _arq_at(cfg: ThroughputConfig, n: int, per_packet: int, p_c: float, retry: float) -> float:
+    """payload * P_c / (T_presig + T_transfer * retry) at n messages."""
+    auth, plain = _payloads(cfg, n, per_packet)
+    return (auth + plain) * p_c / (cfg.presig_time + _transfer_time(cfg, n) * retry)
+
+
+def _mode_terms(cfg: ThroughputConfig, mode: ArqMode, p_c: float) -> tuple[float, float]:
+    """Checked (P_c, P_c + (1 - P_c) * W) of one ARQ mode; general is P_c = 1, W = 1."""
+    if mode is ArqMode.GENERAL:
+        p_c, window = 1.0, 1
+    else:
+        window = 1 if mode is ArqMode.SR else cfg.resolved_window
+    check_range("packet success probability", p_c, 0.0, 1.0)
+    if window is None:
+        raise ValidationError("go-back-N needs a window: set window or data_rate+reaction_time")
+    return p_c, p_c + (1.0 - p_c) * window
 
 
 def payload_auth(cfg: ThroughputConfig) -> float:
     """Authenticated payload per pre-signature; negative when the tree overhead wins."""
-    return cfg.n_messages * cfg.auth_prob * cfg.auth_payload_per_packet()
+    return _payloads(cfg, cfg.n_messages, cfg.auth_payload_per_packet())[0]
 
 
 def payload_noauth(cfg: ThroughputConfig) -> float:
     """Unauthenticated payload per pre-signature."""
-    return cfg.n_messages * (1.0 - cfg.auth_prob) * (cfg.packet_bits - cfg.hash_bits)
+    return _payloads(cfg, cfg.n_messages, cfg.auth_payload_per_packet())[1]
 
 
-def _arq_throughput(cfg: ThroughputConfig, p_c: float, window: int | None) -> float:
-    """payload * P_c / (T_presig + T_transfer * (P_c + (1 - P_c) * W))."""
-    check_range("packet success probability", p_c, 0.0, 1.0)
-    if window is None:
-        raise ValidationError("go-back-N needs a window: set window or data_rate+reaction_time")
-    denom = cfg.presig_time + cfg.resolved_transfer_time * (p_c + (1.0 - p_c) * window)
-    return (payload_auth(cfg) + payload_noauth(cfg)) * p_c / denom
+def _arq_throughput(cfg: ThroughputConfig, mode: ArqMode, p_c: float) -> float:
+    """The one ARQ formula at cfg.n_messages."""
+    p_c, retry = _mode_terms(cfg, mode, p_c)
+    return _arq_at(cfg, cfg.n_messages, cfg.auth_payload_per_packet(), p_c, retry)
 
 
 def throughput_general(cfg: ThroughputConfig) -> float:
     """Total payload over total (pre-signature + transfer) time."""
-    return _arq_throughput(cfg, 1.0, 1)
+    return _arq_throughput(cfg, ArqMode.GENERAL, 1.0)
 
 
 def throughput_sr(cfg: ThroughputConfig, p_c: float) -> float:
     """Selective-repeat ARQ throughput: only errored packets are resent."""
-    return _arq_throughput(cfg, p_c, 1)
+    return _arq_throughput(cfg, ArqMode.SR, p_c)
 
 
 def throughput_gbn(cfg: ThroughputConfig, p_c: float) -> float:
     """Go-back-N ARQ throughput: an error costs the whole outstanding window."""
-    return _arq_throughput(cfg, p_c, cfg.resolved_window)
+    return _arq_throughput(cfg, ArqMode.GBN, p_c)
 
 
 def throughput_for_mode(cfg: ThroughputConfig, mode: ArqMode, p_c: float) -> float:
@@ -154,11 +189,13 @@ def sweep_messages(cfg: ThroughputConfig, n_max: int, arq: ArqMode,
     """(throughput, feasible) at message counts 1..n_max, each evaluated once.  With
     any authentication, a count is feasible while its authenticated payload is positive."""
     check_range("n_max", n_max, 1)
+    p_c, retry = _mode_terms(cfg, arq, p_c)
+    unauthenticated = cfg.auth_prob <= 0.0
     walk = []
     for n in range(1, n_max + 1):
-        at_n = cfg.with_messages(n)
-        walk.append((throughput_for_mode(at_n, arq, p_c),
-                     cfg.auth_prob <= 0.0 or at_n.auth_payload_per_packet() > 0))
+        per_packet = _auth_payload(cfg, n)
+        walk.append((_arq_at(cfg, n, per_packet, p_c, retry),
+                     unauthenticated or per_packet > 0))
     return walk
 
 

@@ -1,11 +1,15 @@
 """Payload/ARQ throughput equations, message-count search, auth policy."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaygame.errors import NoFeasibleMessageCountError, ValidationError
+from relaygame import errors
+from relaygame import throughput as throughput_module
+from relaygame.errors import NoFeasibleMessageCountError, ValidationError, check_range
 from relaygame.throughput import (
     ArqMode,
     SecurityRequirement,
@@ -16,6 +20,7 @@ from relaygame.throughput import (
     optimize_messages,
     payload_auth,
     payload_noauth,
+    sweep_messages,
     throughput_for_mode,
     throughput_gbn,
     throughput_general,
@@ -215,6 +220,135 @@ def test_optimize_messages_matches_exhaustive_search():
         else:
             assert optimize_messages(c, n_max, arq, p_c) == expected
         checked += 1
+
+
+def reference_sweep(c, n_max, arq, p_c):
+    """The per-n walk over copied configs that sweep_messages must reproduce."""
+    return [(throughput_for_mode(c.with_messages(n), arq, p_c),
+             c.auth_prob <= 0 or c.with_messages(n).auth_payload_per_packet() > 0)
+            for n in range(1, n_max + 1)]
+
+
+def written_out_sweep(c, n_max, arq, p_c):
+    """The formula in its documented operation order, sharing no code with the module."""
+    p_c, w = {ArqMode.GENERAL: (1.0, 1), ArqMode.SR: (p_c, 1),
+              ArqMode.GBN: (p_c, c.resolved_window)}[arq]
+    walk = []
+    for n in range(1, n_max + 1):
+        per_packet = c.packet_bits - c.hash_bits * (ceil_log2(n) + 1)
+        transfer = c.transfer_time if c.transfer_time is not None else \
+            n * c.packet_bits / c.data_rate
+        payload = (n * c.auth_prob * per_packet
+                   + n * (1.0 - c.auth_prob) * (c.packet_bits - c.hash_bits))
+        walk.append((payload * p_c / (c.presig_time + transfer * (p_c + (1.0 - p_c) * w)),
+                     c.auth_prob <= 0 or per_packet > 0))
+    return walk
+
+
+def outcome(fn, *args):
+    """Bits of a walk (float.hex keeps -0.0 apart from 0.0), or the error raised."""
+    try:
+        return [(value.hex(), feasible) for value, feasible in fn(*args)]
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def random_sweep_config(rng, i):
+    """Cycles both timing models, explicit and derived windows (W = 1 and large)
+    and auth_prob in {0, 1, random}; packets small enough for negative payloads."""
+    packet_bits = int(rng.integers(100, 4000))
+    timing = ({"transfer_time": float(rng.uniform(1e-4, 2.0))} if i % 2 else
+              {"data_rate": float(rng.uniform(1e3, 1e8))})
+    window_kind = (i // 2) % 4
+    window = None
+    if window_kind == 0:
+        window = 1
+    elif window_kind == 1:
+        window = int(rng.integers(1000, 10 ** 6))
+    elif "data_rate" in timing:
+        # Derived window: 1 below one packet per reaction time, else large.
+        packets = 0.5 if window_kind == 2 else float(rng.uniform(1e3, 1e5))
+        timing["reaction_time"] = packets * packet_bits / timing["data_rate"]
+    elif window_kind == 2:
+        window = int(rng.integers(2, 200))
+    # else: explicit timing with no window, so go-back-N must raise.
+    return ThroughputConfig(packet_bits=packet_bits,
+                            hash_bits=int(rng.integers(16, 512)),
+                            n_messages=int(rng.integers(1, 128)),
+                            auth_prob=(0.0, 1.0, float(rng.uniform()))[i % 3],
+                            presig_time=float(rng.choice([0.0, rng.uniform(0, 1)])),
+                            window=window, **timing)
+
+
+def test_sweep_messages_is_bit_identical_to_per_n_configs():
+    rng = np.random.default_rng(10)
+    edge_pc = (0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53)
+    seen = {"negative zero": 0, "derived W=1": 0, "derived W>=1000": 0, "gbn error": 0}
+    for i in range(600):
+        c = random_sweep_config(rng, i)
+        n_max = int(rng.integers(1, 80))
+        p_c = edge_pc[i % 5] if i % 5 < 4 else float(rng.uniform())
+        if c.window is None and c.reaction_time is not None:
+            seen["derived W=1" if c.resolved_window == 1 else "derived W>=1000"] += 1
+        for arq in ArqMode:
+            expected = outcome(reference_sweep, c, n_max, arq, p_c)
+            assert outcome(sweep_messages, c, n_max, arq, p_c) == expected, (i, c, arq, p_c)
+            if isinstance(expected, list):
+                assert outcome(written_out_sweep, c, n_max, arq, p_c) == expected
+                seen["negative zero"] += any(v == "-0x0.0p+0" for v, _ in expected)
+            else:
+                seen["gbn error"] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("arq", [ArqMode.SR, ArqMode.GBN])
+@pytest.mark.parametrize("p_c", [math.nan, -0.1, 1.5, math.inf])
+def test_sweep_messages_rejects_bad_pc_like_the_reference(arq, p_c):
+    c = cfg(window=4)
+    expected = outcome(reference_sweep, c, 8, arq, p_c)
+    assert expected[0] is ValidationError and expected[1].startswith("packet success")
+    assert outcome(sweep_messages, c, 8, arq, p_c) == expected
+    # General mode ignores P_c, with or without the sweep.
+    assert outcome(sweep_messages, c, 8, ArqMode.GENERAL, p_c) == \
+        outcome(reference_sweep, c, 8, ArqMode.GENERAL, p_c)
+
+
+def test_sweep_messages_errors_match_the_reference():
+    no_window = cfg()
+    expected = outcome(reference_sweep, no_window, 8, ArqMode.GBN, 0.5)
+    assert expected[0] is ValidationError and "go-back-N needs a window" in expected[1]
+    assert outcome(sweep_messages, no_window, 8, ArqMode.GBN, 0.5) == expected
+    # n_max is checked first, before P_c and the window.
+    with pytest.raises(ValidationError) as n_max_error:
+        check_range("n_max", 0, 1)
+    for arq in ArqMode:
+        for c, p_c in ((cfg(window=4), 0.5), (no_window, math.nan)):
+            assert outcome(sweep_messages, c, 0, arq, p_c) == \
+                (ValidationError, str(n_max_error.value))
+
+
+@pytest.mark.parametrize("arq", list(ArqMode))
+@pytest.mark.parametrize("timing", [{"transfer_time": 0.5, "window": 7},
+                                    {"transfer_time": None, "data_rate": 1e6,
+                                     "reaction_time": 0.01}])
+def test_sweep_messages_validates_once(monkeypatch, arq, timing):
+    # A per-n re-validation would make the longer sweep check more often.
+    c = cfg(**timing)
+    calls = []
+    real = errors.check_range
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(errors, "check_range", counting)
+    monkeypatch.setattr(throughput_module, "check_range", counting)
+    counts = {}
+    for n_max in (8, 64):
+        calls.clear()
+        sweep_messages(c, n_max, arq, 0.9)
+        counts[n_max] = len(calls)
+    assert 0 < counts[64] <= counts[8], counts
 
 
 def test_optimize_messages_no_feasible_n():
