@@ -1,0 +1,52 @@
+"""One SHA-256 over the bundles of 100 generated scenarios.
+
+The scenarios come from the benchmark's ``generate_scenario`` (2-32 relays,
+both timing models, with and without a sim section) at a fixed seed.  Each
+goes through ``solve --diagnostics`` and ``sweep-n`` in all three ARQ modes,
+so a refactor of the game, channel, throughput or report code that changes
+any byte of any of these bundles turns this test red.  Like
+``test_bundles_pinned.py``, a change that alters a formula on purpose
+updates the digest and says which bundles moved.
+"""
+
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from relaygame import report, scenario
+from relaygame.throughput import ArqMode
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+SEED = 20_161_011
+SCENARIOS = 100
+
+PINNED = "429ca599ac5959894449c3a9c25b5d24a7b5c04f36bc912008a402c191604895"
+
+
+def _load_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))       # workloads does `import oracles`
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_generated_scenario_bundles_are_pinned(monkeypatch):
+    workloads = _load_workloads(monkeypatch)
+    rng = np.random.default_rng(SEED)
+    digest = hashlib.sha256()
+    for j in range(SCENARIOS):
+        data, _ = workloads.generate_scenario(rng, 2 + j % 31)
+        sc = scenario.scenario_from_dict(data)
+        bundles = [report.build_solve_report(sc, diagnostics=True)]
+        bundles += [report.build_sweep_n_report(sc, range(1, 9 + (37 * j) % 57), mode)
+                    for mode in ArqMode]
+        for bundle in bundles:
+            digest.update(report.bundle_to_json(bundle).encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == PINNED
