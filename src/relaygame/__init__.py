@@ -17,27 +17,18 @@ from .game import (
     RelayProfile,
     TargetPartition,
     VerificationReport,
-    attacker_total_utility,
-    cell_utilities,
     combined_asset,
     diagnostic_attack_strategy,
     partition_targets,
-    per_relay_utility,
     solve_equilibrium,
-    source_total_utility,
     verify_equilibrium,
 )
 from .channel import (
-    ChannelDraw,
     LinkModel,
     OutageEstimate,
     ber_direct,
     ber_diversity,
     ber_end_to_end,
-    cooperative_outage_event,
-    mutual_info_direct,
-    mutual_info_mrc,
-    mutual_info_source_relay,
     outage_closed_form,
     outage_monte_carlo,
     outage_sr_link,
@@ -63,7 +54,6 @@ from .sim import (
     SimConfig,
     SimReport,
     SourceMode,
-    draw_attacker_target,
     estimate_compromise_curve,
     policy_auth_probs,
     run_simulation,

@@ -53,19 +53,6 @@ class LinkModel:
 
 
 @dataclass(frozen=True)
-class ChannelDraw:
-    """One realization of the three squared channel gains."""
-
-    gain_sd: float
-    gain_sr: float
-    gain_rd: float
-
-    def __post_init__(self) -> None:
-        for name in ("gain_sd", "gain_sr", "gain_rd"):
-            check_range(name, getattr(self, name), 0.0)
-
-
-@dataclass(frozen=True)
 class OutageEstimate:
     """Monte Carlo hit fraction with its binomial standard error."""
 
@@ -73,21 +60,6 @@ class OutageEstimate:
     stderr: float
     trials: int
     seed: int
-
-
-def mutual_info_direct(gain_sd: float, snr: float) -> float:
-    """Direct-path rate: log2(1 + g*snr)."""
-    return math.log2(1.0 + gain_sd * snr)
-
-
-def mutual_info_source_relay(gain_sr: float, snr: float) -> float:
-    """First-hop rate, halved for the two-slot cooperative cycle."""
-    return 0.5 * math.log2(1.0 + gain_sr * snr)
-
-
-def mutual_info_mrc(gain_sd: float, gain_rd: float, snr: float) -> float:
-    """Combined-path rate after maximal-ratio combining, halved likewise."""
-    return 0.5 * math.log2(1.0 + (gain_sd + gain_rd) * snr)
 
 
 def outage_thresholds(target_rate):
@@ -105,12 +77,6 @@ def outage_event(g_sd, g_sr, g_rd, snr, t_direct, t_relay):
     """
     return (g_sd * snr < t_direct) & ((g_sr * snr < t_relay)
                                       | ((g_sd + g_rd) * snr < t_relay))
-
-
-def cooperative_outage_event(draw: ChannelDraw, link: LinkModel) -> bool:
-    """Whether this realization fails to carry the target rate."""
-    return bool(outage_event(draw.gain_sd, draw.gain_sr, draw.gain_rd, link.snr_avg,
-                             *outage_thresholds(link.target_rate)))
 
 
 def outage_closed_form(link: LinkModel) -> float:

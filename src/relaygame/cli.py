@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from .errors import (
@@ -105,7 +106,10 @@ def _apply_overrides(scenario_dict: dict, overrides: list[str]) -> dict:
 def _load(args) -> "Scenario":
     scenario = load_scenario(args.scenario)
     overrides = list(getattr(args, "set", None) or [])
-    if getattr(args, "seed", None) is not None:
+    # --seed seeds the scenario's simulation only where one runs; outage-check
+    # takes it as its own Monte Carlo seed and leaves the scenario as loaded.
+    if getattr(args, "seed", None) is not None and (
+            args.command == "simulate" or getattr(args, "simulate", False)):
         overrides.append(f"sim.seed={args.seed}")
     if overrides:
         data = _apply_overrides(scenario_to_dict(scenario), overrides)
@@ -234,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a scenario field (dotted path), repeatable")
         if seed:
-            p.add_argument("--seed", type=int, help="override the simulation seed")
+            p.add_argument("--seed", type=int,
+                           help="override the simulation seed (sweep-auth: with --simulate; "
+                                "outage-check: seed of its Monte Carlo)")
 
     p = sub.add_parser("solve", help="equilibrium strategies, utilities, partition")
     common(p, seed=False)
@@ -288,7 +294,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception as exc:  # scriptability: any crash still yields a code
-        print(f"unexpected error: {exc}", file=sys.stderr)
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"unexpected error: {type(exc).__name__}: {exc} "
+              f"(in {frame.name}, {frame.filename}:{frame.lineno})", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -88,13 +88,6 @@ def _relay_utility(asset: float, p_i: float, q_i: float, params: GameParams):
     return u_att + 0.0, u_src + 0.0  # + 0.0 normalizes negative zero
 
 
-def cell_utilities(
-    params: GameParams, asset: float, attack: bool, select: bool
-) -> tuple[float, float]:
-    """(attacker, source) utility for one pure-action cell on a single relay."""
-    return _relay_utility(asset, float(attack), float(select), params)
-
-
 @dataclass(frozen=True)
 class MixedStrategy:
     """Probability vector over the relay list (positional)."""
@@ -157,8 +150,6 @@ class VerificationReport:
 
     attacker_gain: float
     source_gain: float
-    attacker_best_id: int
-    source_best_id: int
     tolerance: float
 
     @property
@@ -185,29 +176,6 @@ def _strategy_pair(p, q, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         raise DimensionError(
             f"strategy lengths ({len(pv)}, {len(qv)}) do not match {n} relays")
     return pv, qv
-
-
-def _relay_utilities(p, q, profiles, params: GameParams) -> list[tuple[float, float]]:
-    pv, qv = _strategy_pair(p, q, len(profiles))
-    assets = _checked_assets(profiles, params)
-    return [_relay_utility(ai, pi, qi, params) for ai, pi, qi in zip(assets, pv, qv)]
-
-
-def attacker_total_utility(p, q, profiles, params: GameParams) -> float:
-    """Expected attacker payoff: sum_i p_i * psi_i(q)."""
-    return sum(u for u, _ in _relay_utilities(p, q, profiles, params))
-
-
-def source_total_utility(p, q, profiles, params: GameParams) -> float:
-    """Expected source payoff: sum_i (q_i * phi_i(p) - p_i * A_i)."""
-    return sum(u for _, u in _relay_utilities(p, q, profiles, params))
-
-
-def per_relay_utility(
-    profile: RelayProfile, p_i: float, q_i: float, params: GameParams
-) -> tuple[float, float]:
-    """(attacker, source) expected utility contributed by a single relay."""
-    return _relay_utility(combined_asset(profile, params), p_i, q_i, params)
 
 
 def _prefix_threshold(m: int, inv_asset_prefix_sum: float, params: GameParams) -> float:
@@ -382,13 +350,8 @@ def verify_equilibrium(
     src = [phi(ai, pi, params) for ai, pi in zip(assets, pv)]
     u_att = sum(pi * s for pi, s in zip(pv, att))
     u_src = sum(qi * s for qi, s in zip(qv, src))
-    best_att = max(range(len(att)), key=lambda k: (att[k], -profiles[k].id))
-    best_src = max(range(len(src)), key=lambda k: (src[k], -profiles[k].id))
-
     return VerificationReport(
-        attacker_gain=att[best_att] - u_att,
-        source_gain=src[best_src] - u_src,
-        attacker_best_id=profiles[best_att].id,
-        source_best_id=profiles[best_src].id,
+        attacker_gain=max(att) - u_att,
+        source_gain=max(src) - u_src,
         tolerance=tolerance,
     )

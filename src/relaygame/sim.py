@@ -31,16 +31,14 @@ byte-identical reports.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .channel import ber_end_to_end, count_outages, outage_closed_form, packet_success
 from .errors import ValidationError, check_range
-from .game import EquilibriumSolution, MixedStrategy
+from .game import EquilibriumSolution
 from .throughput import (
     ArqMode,
     SecurityRequirement,
@@ -138,30 +136,6 @@ class SimReport:
     def to_dict(self) -> dict:
         """Plain-data form; its tuples serialize as JSON arrays."""
         return asdict(self)
-
-
-def draw_attacker_target(
-    mode: AttackerMode,
-    p_star: MixedStrategy | Sequence[float],
-    u: float,
-    ids: Sequence[int] | None = None,
-) -> int:
-    """Map one uniform draw u in [0, 1) to a relay id.
-
-    Uniform mode uses equal 1/K bins over the relay list; equilibrium mode
-    uses inverse-CDF bins over P* in list order.  Bins are half-open
-    [lower, upper), and the last bin absorbs any floating-point shortfall.
-    """
-    probs = list(p_star.probs) if isinstance(p_star, MixedStrategy) else list(p_star)
-    k = len(probs)
-    if ids is None:
-        ids = list(range(1, k + 1))
-    check_range("uniform draw", u, 0.0, 1.0, hi_open=True)
-    if mode is AttackerMode.UNIFORM:
-        cum = [(j + 1) / k for j in range(k)]
-    else:
-        cum = list(accumulate(probs))
-    return ids[min(bisect_right(cum, u), k - 1)]
 
 
 def policy_auth_probs(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NoFeasibleMessageCountError, ValidationError, check_range
 
@@ -27,12 +27,6 @@ class ArqMode(enum.Enum):
     GENERAL = "general"
     SR = "sr"
     GBN = "gbn"
-
-
-def ceil_log2(n: int) -> int:
-    """ceil(log2(n)) for n >= 1, in exact integer arithmetic."""
-    check_range("n", n, 1)
-    return (n - 1).bit_length()
 
 
 def window_size(data_rate: float, reaction_time: float, packet_bits: int) -> int:
@@ -98,10 +92,6 @@ class ThroughputConfig:
             return window_size(self.data_rate, self.reaction_time, self.packet_bits)
         return None
 
-    def with_messages(self, n: int) -> "ThroughputConfig":
-        """Same config at a different message count (derived timing re-resolves)."""
-        return replace(self, n_messages=n)
-
     def auth_payload_per_packet(self) -> int:
         """Usable bits of one authenticated packet; <= 0 means infeasible."""
         return _auth_payload(self, self.n_messages)
@@ -117,7 +107,7 @@ def _transfer_time(cfg: ThroughputConfig, n: int) -> float:
 
 
 def _auth_payload(cfg: ThroughputConfig, n: int) -> int:
-    # (n - 1).bit_length() is ceil_log2(n) without its range check.
+    # (n - 1).bit_length() is ceil(log2(n)) for n >= 1, in exact integer arithmetic.
     return cfg.packet_bits - cfg.hash_bits * ((n - 1).bit_length() + 1)
 
 

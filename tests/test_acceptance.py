@@ -184,8 +184,8 @@ def test_criterion_6_throughput_structure():
                                data_rate=1e6, reaction_time=0.01)
         # Rise-then-fall with the sign change exactly at the payload cutoff.
         cutoff = next(n for n in range(1, 1000)
-                      if cfg.with_messages(n).auth_payload_per_packet() <= 0)
-        values = [throughput_general(cfg.with_messages(n)) for n in range(1, 2 * cutoff)]
+                      if replace(cfg, n_messages=n).auth_payload_per_packet() <= 0)
+        values = [throughput_general(replace(cfg, n_messages=n)) for n in range(1, 2 * cutoff)]
         peak = max(range(len(values)), key=values.__getitem__) + 1
         assert 1 < peak < cutoff
         assert values[-1] < values[peak - 1]
@@ -209,7 +209,7 @@ def test_criterion_6_throughput_structure():
             n_max = int(rng.integers(1, 65))
             best = None
             for n in range(1, n_max + 1):
-                at_n = c.with_messages(n)
+                at_n = replace(c, n_messages=n)
                 if c.auth_prob > 0 and at_n.auth_payload_per_packet() <= 0:
                     continue
                 t = throughput_for_mode(at_n, arq, p_c)

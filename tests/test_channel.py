@@ -12,16 +12,11 @@ from scipy.stats import chi2
 
 from relaygame.channel import (
     OUTAGE_CHUNK,
-    ChannelDraw,
     LinkModel,
     ber_direct,
     ber_diversity,
     ber_end_to_end,
-    cooperative_outage_event,
     count_outages,
-    mutual_info_direct,
-    mutual_info_mrc,
-    mutual_info_source_relay,
     outage_closed_form,
     outage_event,
     outage_monte_carlo,
@@ -39,6 +34,24 @@ BER_DIVERSITY_1_2 = 0.03705680966554784
 OUTAGE_SR_HALF_1 = 0.6321205588285577   # 1 - exp(-1)
 E2E_COMPOSED = OUTAGE_SR_HALF_1 * BER_DIRECT_1 + (1 - OUTAGE_SR_HALF_1) * BER_DIVERSITY_1_2
 OUTAGE_LIMIT_CASE = 0.04028141835464387
+
+
+# The outage event's mutual-information definition: the log-form oracle that
+# ``outage_event``'s threshold form is checked against.
+
+def mutual_info_direct(gain_sd: float, snr: float) -> float:
+    """Direct-path rate: log2(1 + g*snr)."""
+    return math.log2(1.0 + gain_sd * snr)
+
+
+def mutual_info_source_relay(gain_sr: float, snr: float) -> float:
+    """First-hop rate, halved for the two-slot cooperative cycle."""
+    return 0.5 * math.log2(1.0 + gain_sr * snr)
+
+
+def mutual_info_mrc(gain_sd: float, gain_rd: float, snr: float) -> float:
+    """Combined-path rate after maximal-ratio combining, halved likewise."""
+    return 0.5 * math.log2(1.0 + (gain_sd + gain_rd) * snr)
 
 
 def link(rate=1.0, snr=10.0, alpha=2.0, d_sr=1.0, d_rd=1.0,
@@ -352,15 +365,13 @@ def test_outage_monte_carlo_edge_counts():
 
 
 def test_cooperative_outage_event_matches_scalar_forms():
-    lm = link(rate=1.0, snr=10.0)
+    thresholds = outage_thresholds(1.0)
     # Strong gains everywhere: no outage.
-    assert not cooperative_outage_event(ChannelDraw(5.0, 5.0, 5.0), lm)
+    assert not outage_event(5.0, 5.0, 5.0, 10.0, *thresholds)
     # Dead channels: certain outage.
-    assert cooperative_outage_event(ChannelDraw(0.0, 0.0, 0.0), lm)
+    assert outage_event(0.0, 0.0, 0.0, 10.0, *thresholds)
     # Direct path alone strong enough.
-    assert not cooperative_outage_event(ChannelDraw(1.0, 0.0, 0.0), lm)
-    with pytest.raises(ValidationError):
-        ChannelDraw(-0.1, 0.0, 0.0)
+    assert not outage_event(1.0, 0.0, 0.0, 10.0, *thresholds)
 
 
 def outage_by_log_form(g_sd: float, g_sr: float, g_rd: float, lm: LinkModel) -> bool:
@@ -398,4 +409,3 @@ def test_outage_event_matches_log_form_at_thresholds(rate, snr):
                 event = bool(outage_event(g_sd, g_sr, g_rd, snr,
                                           *outage_thresholds(rate)))
                 assert event == outage_by_log_form(g_sd, g_sr, g_rd, lm), (g_sd, g_sr, g_rd)
-                assert event == cooperative_outage_event(ChannelDraw(g_sd, g_sr, g_rd), lm)

@@ -1,9 +1,11 @@
 """CLI surface: subcommands, flags, exit codes, emitted files."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from relaygame import cli
 from relaygame.cli import OVERRIDE_KEYS, main
 from relaygame.report import (
     build_solve_report,
@@ -124,7 +126,7 @@ def test_sweep_n_consistency(military):
             assert [r["n"] for r in bundle["rows"]] == list(n_values)
             for row in bundle["rows"]:
                 assert row["throughput"] == throughput_for_mode(
-                    cfg.with_messages(row["n"]), arq, p_c)
+                    replace(cfg, n_messages=row["n"]), arq, p_c)
             n_star, best = optimize_messages(cfg, max(n_values), arq, p_c)
             assert bundle["optimal"] == {"n": n_star, "throughput": best}
 
@@ -250,6 +252,46 @@ def test_simulating_needs_a_sim_section(capsys, tmp_path):
         assert code == 2
         assert "scenario.sim" in err
     assert run_cli(capsys, "sweep-auth", "--scenario", str(path))[0] == 0
+
+
+def test_seed_leaves_the_scenario_alone_where_nothing_is_simulated(capsys, tmp_path):
+    # outage-check takes --seed as its Monte Carlo seed and analytic sweep-auth
+    # simulates nothing, so a scenario with no sim section still runs and hashes
+    # as it does without --seed.
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps(single_relay_scenario()))
+    for scenario in (str(path), "military"):
+        for command in (["outage-check", "--trials", "1000"], ["sweep-auth"]):
+            hashes = []
+            for seed in ([], ["--seed", "3"]):
+                out = tmp_path / "bundle.json"
+                code, _, err = run_cli(capsys, *command, *seed, "--scenario", scenario,
+                                       "--out", str(out))
+                assert code == 0, err
+                hashes.append(json.loads(out.read_text())["provenance"]["scenario_hash"])
+            assert hashes[0] == hashes[1]
+
+
+def test_outage_check_seed_seeds_the_monte_carlo(capsys, tmp_path):
+    bundles = []
+    for seed in ("3", "4"):
+        out = tmp_path / f"outage-{seed}.json"
+        assert run_cli(capsys, "outage-check", "--scenario", "military", "--trials", "1000",
+                       "--seed", seed, "--out", str(out))[0] == 0
+        bundles.append(json.loads(out.read_text()))
+    assert [b["provenance"]["seed"] for b in bundles] == [3, 4]
+    assert bundles[0]["rows"] != bundles[1]["rows"]
+
+
+def test_unexpected_error_names_its_type_and_origin(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "build_solve_report", broken)
+    code, _, err = run_cli(capsys, "solve", "--scenario", "military")
+    assert code == 4
+    assert err.startswith("unexpected error: RuntimeError: boom (in broken, ")
+    assert "test_cli.py:" in err
 
 
 def test_solve_report_is_json_serializable(military):

@@ -15,14 +15,12 @@ from relaygame.game import (
     GameParams,
     MixedStrategy,
     RelayProfile,
-    attacker_total_utility,
-    cell_utilities,
     combined_asset,
     diagnostic_attack_strategy,
     partition_targets,
-    per_relay_utility,
+    phi,
+    psi,
     solve_equilibrium,
-    source_total_utility,
     verify_equilibrium,
 )
 
@@ -52,14 +50,20 @@ def test_combined_asset_preset_values(military):
         assert combined_asset(pr, military.game) == pytest.approx(expected)
 
 
+def total_utilities(p, q, profiles, params):
+    """(attacker, source) expected payoffs: sum_i p_i * psi_i(q) and
+    sum_i (q_i * phi_i(p) - p_i * A_i)."""
+    assets = [combined_asset(pr, params) for pr in profiles]
+    return (sum(pi * psi(a, qi, params) for a, pi, qi in zip(assets, p, q)),
+            sum(qi * phi(a, pi, params) - pi * a for a, pi, qi in zip(assets, p, q)))
+
+
 def test_cell_utilities_examples(military_params):
-    assert cell_utilities(military_params, 1.0, attack=True, select=True) == \
+    # The pure-action cells of a unit-asset relay.
+    assert total_utilities((1.0,), (1.0,), make_profiles([1.0]), military_params) == \
         pytest.approx((-0.81, 0.79))
-    assert cell_utilities(military_params, 1.0, attack=False, select=False) == (0.0, 0.0)
-    assert cell_utilities(military_params, 1.0, attack=False, select=True) == \
-        pytest.approx((0.0, -0.0105))
-    assert cell_utilities(military_params, 1.0, attack=True, select=False) == \
-        pytest.approx((0.99, -1.0))
+    assert phi(1.0, 0.0, military_params) == pytest.approx(-0.0105)  # select only
+    assert psi(1.0, 0.0, military_params) == pytest.approx(0.99)     # attack only
 
 
 @given(detect=st.floats(0.0, 1.0), false_alarm=st.floats(0.0, 1.0),
@@ -71,8 +75,7 @@ def test_cell_utilities_are_per_relay_utility_at_corners(detect, false_alarm, co
     params = GameParams(detect_rate=detect, false_alarm_rate=false_alarm,
                         attack_cost=attack_cost, monitor_cost=monitor_cost,
                         false_alarm_loss=false_alarm_loss)
-    profile = RelayProfile(id=1, info_asset=info, sec_asset=sec)
-    asset = combined_asset(profile, params)
+    asset = combined_asset(RelayProfile(id=1, info_asset=info, sec_asset=sec), params)
     # The four pure-action cells of one relay, written out from the model.
     cells = {
         (True, True): ((1 - 2 * detect - attack_cost) * asset,
@@ -82,27 +85,28 @@ def test_cell_utilities_are_per_relay_utility_at_corners(detect, false_alarm, co
         (False, False): (0.0, 0.0),
     }
     for (attack, select), expected in cells.items():
-        cell = cell_utilities(params, asset, attack, select)
-        assert cell == per_relay_utility(profile, float(attack), float(select), params)
+        p_i, q_i = float(attack), float(select)
+        cell = (p_i * psi(asset, q_i, params), q_i * phi(asset, p_i, params) - p_i * asset)
         assert cell == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_total_utilities_degenerate(military_params):
     profiles = make_profiles([1.0, 0.75, 0.5, 0.25])
-    on_first = MixedStrategy((1.0, 0.0, 0.0, 0.0))
-    assert attacker_total_utility(on_first, on_first, profiles, military_params) == \
-        pytest.approx(-0.81)
-    # Matches the (attack, select) source cell for asset 1.
-    assert source_total_utility(on_first, on_first, profiles, military_params) == \
-        pytest.approx(0.79)
+    on_first = (1.0, 0.0, 0.0, 0.0)
+    # Matches the (attack, select) cell for asset 1.
+    assert total_utilities(on_first, on_first, profiles, military_params) == \
+        pytest.approx((-0.81, 0.79))
 
 
 def test_total_utilities_at_equilibrium(military):
     sol = solve_equilibrium(military.profiles, military.game)
-    u_att = attacker_total_utility(sol.attacker, sol.source, military.profiles, military.game)
-    u_src = source_total_utility(sol.attacker, sol.source, military.profiles, military.game)
+    u_att, u_src = total_utilities(sol.attacker.probs, sol.source.probs,
+                                   military.profiles, military.game)
     assert u_att == pytest.approx(sum(u for u, _ in MILITARY_UTIL), abs=1e-4)
     assert u_src == pytest.approx(sum(u for _, u in MILITARY_UTIL), abs=1e-4)
+    # The per-relay utilities the bundles print add up to the same totals.
+    assert u_att == pytest.approx(sum(u for u, _ in sol.per_relay), abs=1e-12)
+    assert u_src == pytest.approx(sum(u for _, u in sol.per_relay), abs=1e-12)
     # The attacker's total equals the common per-unit-attack payoff.
     assert u_att == pytest.approx(sol.lambda_attacker, abs=1e-12)
 
@@ -110,9 +114,9 @@ def test_total_utilities_at_equilibrium(military):
 def test_total_utility_dimension_error(military_params):
     profiles = make_profiles([1.0, 0.5])
     with pytest.raises(DimensionError):
-        attacker_total_utility((1.0,), (0.5, 0.5), profiles, military_params)
+        verify_equilibrium((1.0,), (0.5, 0.5), profiles, military_params)
     with pytest.raises(DimensionError):
-        source_total_utility((1.0, 0.0), (1.0,), profiles, military_params)
+        verify_equilibrium((1.0, 0.0), (1.0,), profiles, military_params)
 
 
 def test_mixed_strategy_validation():
@@ -127,11 +131,11 @@ def test_mixed_strategy_validation():
 
 
 def test_per_relay_utility_table_rows(military, commercial):
-    u = per_relay_utility(military.profiles[0], 0.23256, 0.4, military.game)
-    assert u == pytest.approx((0.062792, -0.069271), abs=2e-5)
-    u = per_relay_utility(commercial.profiles[2], 0.4127, 0.17308, commercial.game)
-    assert u == pytest.approx((0.14286, -0.1752), abs=2e-5)
-    assert per_relay_utility(military.profiles[3], 0.0, 0.0, military.game) == (0.0, 0.0)
+    mil = solve_equilibrium(military.profiles, military.game).per_relay
+    com = solve_equilibrium(commercial.profiles, commercial.game).per_relay
+    assert mil[0] == pytest.approx((0.062792, -0.069271), abs=2e-5)
+    assert com[2] == pytest.approx((0.14286, -0.1752), abs=2e-5)
+    assert mil[3] == (0.0, 0.0)
 
 
 def test_partition_military(military):
@@ -273,11 +277,10 @@ def test_verify_equilibrium_on_presets(military, commercial):
 def test_source_prefers_equilibrium_over_excluded_relay(military):
     """Putting all selection mass on a non-sensible relay is strictly worse."""
     sol = solve_equilibrium(military.profiles, military.game)
-    at_equilibrium = source_total_utility(
-        sol.attacker, sol.source, military.profiles, military.game)
-    on_excluded = MixedStrategy((0.0, 0.0, 0.0, 1.0))
-    displaced = source_total_utility(
-        sol.attacker, on_excluded, military.profiles, military.game)
+    _, at_equilibrium = total_utilities(
+        sol.attacker.probs, sol.source.probs, military.profiles, military.game)
+    _, displaced = total_utilities(
+        sol.attacker.probs, (0.0, 0.0, 0.0, 1.0), military.profiles, military.game)
     assert displaced < at_equilibrium
 
 

@@ -15,7 +15,7 @@ from relaygame.channel import ber_direct, ber_diversity, outage_sr_link, packet_
 from relaygame.errors import ValidationError, check_range
 from relaygame.game import GameParams, MixedStrategy, RelayProfile, solve_equilibrium
 from relaygame.scenario import load_scenario
-from relaygame.sim import AttackerMode, SimConfig, check_auth_grid, draw_attacker_target
+from relaygame.sim import SimConfig, check_auth_grid
 from relaygame.throughput import (
     SecurityRequirement,
     compromising_probability,
@@ -78,12 +78,11 @@ def test_auth_prob_mapping_rejects_non_finite(bad):
     lambda x: compromising_probability(x, 0.5),
     lambda x: compromising_probability(0.5, x),
     lambda x: check_auth_grid([0.5, x]),
-    lambda x: draw_attacker_target(AttackerMode.UNIFORM, [0.5, 0.5], x),
     lambda x: MixedStrategy((x, 1.0)),
 ], ids=["ber_direct", "ber_diversity", "outage_sr_link.rate", "outage_sr_link.snr",
         "packet_success", "window_size", "throughput_sr", "min_auth_probability",
         "compromising_probability.auth", "compromising_probability.p_star",
-        "check_auth_grid", "draw_attacker_target", "MixedStrategy"])
+        "check_auth_grid", "MixedStrategy"])
 def test_scalar_entry_points_reject_non_finite(call, bad):
     with pytest.raises(ValidationError, match="must be"):
         call(bad)
@@ -118,9 +117,6 @@ def test_open_ends_reject_their_bound():
     for name in ("data_rate", "reaction_time"):
         with pytest.raises(ValidationError, match=rf"^{name} must be > 0"):
             dataclasses.replace(cfg, **{name: 0.0})
-    with pytest.raises(ValidationError, match=r"^uniform draw must be in \[0, 1\)"):
-        draw_attacker_target(AttackerMode.UNIFORM, [0.5, 0.5], 1.0)
-    assert draw_attacker_target(AttackerMode.UNIFORM, [0.5, 0.5], 0.0) == 1
 
 
 def test_check_range_messages_name_the_field():

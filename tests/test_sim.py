@@ -10,14 +10,13 @@ from scipy.stats import chi2
 
 from relaygame import sim as sim_module
 from relaygame.errors import ValidationError
-from relaygame.game import MixedStrategy, solve_equilibrium
+from relaygame.game import solve_equilibrium
 from relaygame.scenario import canonical_json
 from relaygame.sim import (
     AttackerMode,
     SimConfig,
     SourceMode,
     child_seed,
-    draw_attacker_target,
     draw_selection_table,
     estimate_compromise_curve,
     most_attacked_relay,
@@ -32,34 +31,6 @@ TABLE_P = (0.23256, 0.30814, 0.4593, 0.0)   # published military attack probs
 @pytest.fixture(scope="module")
 def military_solution(military):
     return solve_equilibrium(military.profiles, military.game)
-
-
-def test_draw_uniform_bins():
-    probs = (0.25, 0.25, 0.25, 0.25)
-    assert draw_attacker_target(AttackerMode.UNIFORM, probs, 0.3) == 2
-    assert draw_attacker_target(AttackerMode.UNIFORM, probs, 0.0) == 1
-    assert draw_attacker_target(AttackerMode.UNIFORM, probs, 0.25) == 2  # half-open bins
-    assert draw_attacker_target(AttackerMode.UNIFORM, probs, 0.999999) == 4
-    # Generalizes to K != 4 with equal 1/K bins.
-    assert draw_attacker_target(AttackerMode.UNIFORM, (0.5, 0.5), 0.6) == 2
-
-
-def test_draw_equilibrium_bins():
-    norm = (0.23256, 0.30814, 0.4593, 0.0)
-    strategy = MixedStrategy((0.23256, 0.30814, 0.45930, 0.0))
-    assert draw_attacker_target(AttackerMode.EQUILIBRIUM, strategy, 0.1) == 1
-    assert draw_attacker_target(AttackerMode.EQUILIBRIUM, norm, 0.24) == 2
-    assert draw_attacker_target(AttackerMode.EQUILIBRIUM, norm, 0.99) == 3
-    degenerate = (0.0, 0.0, 1.0, 0.0)
-    for u in (0.0, 0.31, 0.97):
-        assert draw_attacker_target(AttackerMode.EQUILIBRIUM, degenerate, u) == 3
-
-
-def test_draw_rejects_bad_uniform():
-    with pytest.raises(ValidationError):
-        draw_attacker_target(AttackerMode.UNIFORM, (1.0,), 1.0)
-    with pytest.raises(ValidationError):
-        draw_attacker_target(AttackerMode.UNIFORM, (1.0,), -0.01)
 
 
 def test_requires_solution(military):

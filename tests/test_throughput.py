@@ -1,6 +1,7 @@
 """Payload/ARQ throughput equations, message-count search, auth policy."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from relaygame.throughput import (
     ArqMode,
     SecurityRequirement,
     ThroughputConfig,
-    ceil_log2,
     compromising_probability,
     min_auth_probability,
     optimize_messages,
@@ -34,11 +34,6 @@ def cfg(**kwargs):
                 presig_time=0.0, transfer_time=1.0)
     base.update(kwargs)
     return ThroughputConfig(**base)
-
-
-def test_ceil_log2():
-    assert [ceil_log2(n) for n in (1, 2, 3, 4, 5, 8, 9, 32, 33)] == \
-        [0, 1, 2, 2, 3, 3, 4, 5, 6]
 
 
 def test_payload_auth_examples():
@@ -171,9 +166,9 @@ def test_throughput_vs_n_rises_falls_and_cuts_off():
     c = rise_fall_config()
     # Cutoff: first n with packet_bits <= hash_bits * (ceil(log2 n) + 1).
     cutoff = next(n for n in range(1, 1000)
-                  if c.with_messages(n).auth_payload_per_packet() <= 0)
+                  if replace(c, n_messages=n).auth_payload_per_packet() <= 0)
     assert cutoff == 33
-    values = [throughput_general(c.with_messages(n)) for n in range(1, 65)]
+    values = [throughput_general(replace(c, n_messages=n)) for n in range(1, 65)]
     peak = max(range(len(values)), key=values.__getitem__) + 1
     assert 1 < peak < cutoff
     assert values[-1] < values[peak - 1]  # falls after the peak
@@ -184,7 +179,7 @@ def test_throughput_vs_n_rises_falls_and_cuts_off():
 def exhaustive_best(c, n_max, arq, p_c):
     best = None
     for n in range(1, n_max + 1):
-        at_n = c.with_messages(n)
+        at_n = replace(c, n_messages=n)
         if c.auth_prob > 0.0 and at_n.auth_payload_per_packet() <= 0:
             continue
         t = throughput_for_mode(at_n, arq, p_c)
@@ -224,8 +219,8 @@ def test_optimize_messages_matches_exhaustive_search():
 
 def reference_sweep(c, n_max, arq, p_c):
     """The per-n walk over copied configs that sweep_messages must reproduce."""
-    return [(throughput_for_mode(c.with_messages(n), arq, p_c),
-             c.auth_prob <= 0 or c.with_messages(n).auth_payload_per_packet() > 0)
+    return [(throughput_for_mode(replace(c, n_messages=n), arq, p_c),
+             c.auth_prob <= 0 or replace(c, n_messages=n).auth_payload_per_packet() > 0)
             for n in range(1, n_max + 1)]
 
 
@@ -235,7 +230,7 @@ def written_out_sweep(c, n_max, arq, p_c):
               ArqMode.GBN: (p_c, c.resolved_window)}[arq]
     walk = []
     for n in range(1, n_max + 1):
-        per_packet = c.packet_bits - c.hash_bits * (ceil_log2(n) + 1)
+        per_packet = c.packet_bits - c.hash_bits * (math.ceil(math.log2(n)) + 1)
         transfer = c.transfer_time if c.transfer_time is not None else \
             n * c.packet_bits / c.data_rate
         payload = (n * c.auth_prob * per_packet
@@ -361,7 +356,7 @@ def test_optimize_messages_unauthenticated_prefers_max_n():
     # Fixed total time, no tree penalty: payload grows linearly with n.
     c = cfg(auth_prob=0.0)
     assert optimize_messages(c, 32, ArqMode.GENERAL) == \
-        (32, throughput_general(c.with_messages(32)))
+        (32, throughput_general(replace(c, n_messages=32)))
 
 
 def test_min_auth_probability_examples():
@@ -407,6 +402,6 @@ def test_derived_timing_and_window():
                          data_rate=1e6, reaction_time=0.01)
     assert c.timing_model == "derived"
     assert c.resolved_transfer_time == pytest.approx(0.004)
-    assert c.with_messages(8).resolved_transfer_time == pytest.approx(0.008)
+    assert replace(c, n_messages=8).resolved_transfer_time == pytest.approx(0.008)
     assert c.resolved_window == 10
     assert cfg().timing_model == "explicit"
