@@ -124,9 +124,12 @@ def count_outages(rng: np.random.Generator, link: LinkModel, trials: int) -> int
     t_direct, t_relay = outage_thresholds(link.target_rate)
     snr = link.snr_avg
     hits = 0
+    # Every block's direct gains go into one buffer: a fresh 256 KiB array per
+    # block can make the allocator hand the heap top back and fault it in again.
+    block = np.empty(min(trials, OUTAGE_CHUNK))
     for start in range(0, trials, OUTAGE_CHUNK):
         size = min(OUTAGE_CHUNK, trials - start)
-        g_sd = rng.standard_exponential(size)
+        g_sd = rng.standard_exponential(out=block[:size])
         failed = g_sd * snr < t_direct          # outage_event's direct-path term
         m = int(np.count_nonzero(failed))
         if 8 * m > 7 * size:

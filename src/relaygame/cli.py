@@ -239,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a scenario field (dotted path), repeatable")
         if seed:
             p.add_argument("--seed", type=int,
-                           help="override the simulation seed (sweep-auth: with --simulate; "
-                                "outage-check: seed of its Monte Carlo)")
+                           help="simulation seed (outage-check: its Monte Carlo seed)")
 
     p = sub.add_parser("solve", help="equilibrium strategies, utilities, partition")
     common(p, seed=False)

@@ -75,7 +75,8 @@ def test_cell_utilities_are_per_relay_utility_at_corners(detect, false_alarm, co
     params = GameParams(detect_rate=detect, false_alarm_rate=false_alarm,
                         attack_cost=attack_cost, monitor_cost=monitor_cost,
                         false_alarm_loss=false_alarm_loss)
-    asset = combined_asset(RelayProfile(id=1, info_asset=info, sec_asset=sec), params)
+    profile = RelayProfile(id=1, info_asset=info, sec_asset=sec)
+    asset = combined_asset(profile, params)
     # The four pure-action cells of one relay, written out from the model.
     cells = {
         (True, True): ((1 - 2 * detect - attack_cost) * asset,
@@ -85,8 +86,7 @@ def test_cell_utilities_are_per_relay_utility_at_corners(detect, false_alarm, co
         (False, False): (0.0, 0.0),
     }
     for (attack, select), expected in cells.items():
-        p_i, q_i = float(attack), float(select)
-        cell = (p_i * psi(asset, q_i, params), q_i * phi(asset, p_i, params) - p_i * asset)
+        cell = total_utilities((float(attack),), (float(select),), [profile], params)
         assert cell == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
