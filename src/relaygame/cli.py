@@ -106,8 +106,7 @@ def _apply_overrides(scenario_dict: dict, overrides: list[str]) -> dict:
 def _load(args) -> "Scenario":
     scenario = load_scenario(args.scenario)
     overrides = list(getattr(args, "set", None) or [])
-    # --seed seeds the scenario's simulation only where one runs; outage-check
-    # takes it as its own Monte Carlo seed and leaves the scenario as loaded.
+    # outage-check takes --seed as its own Monte Carlo seed, not the scenario's.
     if getattr(args, "seed", None) is not None and (
             args.command == "simulate" or getattr(args, "simulate", False)):
         overrides.append(f"sim.seed={args.seed}")
@@ -238,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a scenario field (dotted path), repeatable")
         if seed:
-            p.add_argument("--seed", type=int,
-                           help="simulation seed (outage-check: its Monte Carlo seed)")
+            p.add_argument("--seed", type=int, help="override the simulation seed")
 
     p = sub.add_parser("solve", help="equilibrium strategies, utilities, partition")
     common(p, seed=False)
