@@ -4,10 +4,9 @@ Closed-form outage and BER expressions plus a seeded Monte Carlo estimator of
 the cooperative outage event.  All SNRs here are linear ratios; dB conversion
 happens only at the scenario-loading boundary.
 
-The estimator draws each block of episodes in two stages: the direct gain of
-every episode, then the two relay-hop gains of the episodes whose direct path
-failed (of every episode, in a block where nearly all failed), since under
-selection decode-and-forward no other episode can be in outage.
+The estimator draws binomial counts of the failed direct paths and of those
+whose first hop failed too, then fading only for the rest, so its draws grow
+with the failures rather than the episodes.
 
 Monte Carlo fading convention: squared channel gains are exponentially
 distributed with mean dist^-pathloss_exp (unit mean for the source-destination
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_range
+from .errors import ValidationError, check_range
 
 #: Fading realisations the outage Monte Carlo draws per block.  Draws, and so
 #: every simulated outage count, depend on it; report provenance records it.
@@ -50,6 +49,14 @@ class LinkModel:
         check_range("pathloss_exp", self.pathloss_exp, 0.0)
         for name in ("snr_avg", "snr_sd", "snr_sr", "snr_rd", "dist_sr", "dist_rd"):
             check_range(name, getattr(self, name), 0.0, lo_open=True)
+        for name, dist in (("dist_sr", self.dist_sr), ("dist_rd", self.dist_rd)):
+            try:    # float ** raises OverflowError where it would give inf
+                scales = min(dist ** self.pathloss_exp, dist ** -self.pathloss_exp) > 0.0
+            except OverflowError:
+                scales = False
+            if not scales:
+                raise ValidationError(f"{name}^pathloss_exp and its reciprocal must be "
+                                      f"finite and non-zero, got {dist}", field=name)
 
 
 @dataclass(frozen=True)
@@ -62,21 +69,10 @@ class OutageEstimate:
     seed: int
 
 
-def outage_thresholds(target_rate):
+def outage_thresholds(target_rate: float) -> tuple[float, float]:
     """Gain-times-SNR thresholds of the direct path (2^R - 1) and of the
-    half-rate relay paths (2^{2R} - 1); elementwise, finite below MAX_TARGET_RATE."""
-    return np.power(2.0, target_rate) - 1.0, np.power(2.0, 2.0 * target_rate) - 1.0
-
-
-def outage_event(g_sd, g_sr, g_rd, snr, t_direct, t_relay):
-    """Selection decode-and-forward outage (Laneman, Tse and Wornell, 2004).
-
-    The achieved rate is max(direct, min(first hop, combined)): the relay path
-    only helps when the relay itself decoded.  Written log-free against the
-    thresholds of ``outage_thresholds``; arguments broadcast elementwise.
-    """
-    return (g_sd * snr < t_direct) & ((g_sr * snr < t_relay)
-                                      | ((g_sd + g_rd) * snr < t_relay))
+    half-rate relay paths (2^{2R} - 1); finite below MAX_TARGET_RATE."""
+    return 2.0 ** target_rate - 1.0, 2.0 ** (2.0 * target_rate) - 1.0
 
 
 def outage_closed_form(link: LinkModel) -> float:
@@ -87,8 +83,8 @@ def outage_closed_form(link: LinkModel) -> float:
     evaluated by its analytic limit; next to it ``expm1`` keeps the general
     branch free of cancellation.
     """
-    gamma, r = link.snr_avg, link.target_rate
-    ln_v = -(2.0 ** r - 1.0) / gamma
+    gamma = link.snr_avg
+    ln_v = -outage_thresholds(link.target_rate)[0] / gamma
     v = math.exp(ln_v)
     # omega = exp(2*ln(v) - ln(v)^2 * gamma); work in log space so extreme
     # rates/SNRs underflow to 0 instead of tripping 0**negative.
@@ -107,38 +103,31 @@ def outage_closed_form(link: LinkModel) -> float:
 
 def count_outages(rng: np.random.Generator, link: LinkModel, trials: int) -> int:
     """Outage events among ``trials`` fading realisations of ``link`` (module
-    convention), drawn OUTAGE_CHUNK at a time so memory stays bounded.
-
-    Each block is drawn in two stages: the direct gains g_sd of every episode,
-    then one relay-hop pair (g_sr, g_rd) for each episode whose direct path
-    failed, in episode order.  An episode whose direct path carries the rate
-    is never in outage, so its relay hops are not needed: E * (1 + 2 P(direct
-    fails)) exponentials instead of 3E.  When more than 7/8 of a block's
-    direct paths failed, picking them out costs more than the draws it saves,
-    so that block draws a pair for every episode instead.  The count is still
-    that of ``outage_event`` over per-episode fading, and no closed form
-    enters it.
+    convention), as conditional counts of the selection decode-and-forward
+    event (Laneman, Tse and Wornell, 2004), drawn in this order: the failed
+    direct paths M ~ Bin(trials, p_d); those whose first hop failed too, K ~
+    Bin(M, p_1), each an outage; then per OUTAGE_CHUNK block of the other M - K,
+    direct gains -log1p(-u * p_d) (Exp(1) truncated to failure, by inversion)
+    and relay-destination gains, whose combined path decides.  No closed form.
     """
-    mean_sr = link.dist_sr ** -link.pathloss_exp
-    mean_rd = link.dist_rd ** -link.pathloss_exp
     t_direct, t_relay = outage_thresholds(link.target_rate)
     snr = link.snr_avg
-    hits = 0
-    # Every block's direct gains go into one buffer: a fresh 256 KiB array per
-    # block can make the allocator hand the heap top back and fault it in again.
-    block = np.empty(min(trials, OUTAGE_CHUNK))
-    for start in range(0, trials, OUTAGE_CHUNK):
-        size = min(OUTAGE_CHUNK, trials - start)
-        g_sd = rng.standard_exponential(out=block[:size])
-        failed = g_sd * snr < t_direct          # outage_event's direct-path term
-        m = int(np.count_nonzero(failed))
-        if 8 * m > 7 * size:
-            m = size
-        else:
-            g_sd = np.compress(failed, g_sd)    # g_sd[failed] is 2-4x slower here
-        g_sr, g_rd = rng.standard_exponential((2, m))
-        hits += int(np.count_nonzero(outage_event(
-            g_sd, g_sr * mean_sr, g_rd * mean_rd, snr, t_direct, t_relay)))
+    x = link.dist_rd ** link.pathloss_exp       # 1 / mean g_rd
+    p_direct = -math.expm1(-t_direct / snr)
+    failed = int(rng.binomial(trials, p_direct))
+    # A product with dist_sr^pathloss_exp, which may overflow to inf: a sure failure.
+    p_first_hop = -math.expm1(-t_relay * link.dist_sr ** link.pathloss_exp / snr)
+    hits = int(rng.binomial(failed, p_first_hop))
+    rest = failed - hits
+    # Buffers per call, not per block, which the allocator would trim and re-fault.
+    block = np.empty((2, min(rest, OUTAGE_CHUNK)))
+    for start in range(0, rest, OUTAGE_CHUNK):
+        a, b = block[:, :min(OUTAGE_CHUNK, rest - start)]
+        np.log1p(np.multiply(rng.random(out=a), -p_direct, out=a), out=a)     # -g_sd
+        np.divide(rng.standard_exponential(out=b), x, out=b)                  # g_rd
+        np.multiply(np.subtract(b, a, out=a), snr, out=a)     # (g_sd + g_rd) * snr
+        # The flags go into b's bytes, which are read no more.
+        hits += int(np.count_nonzero(np.less(a, t_relay, out=b.view(np.bool_)[:a.size])))
     return hits
 
 
@@ -158,7 +147,7 @@ def outage_sr_link(target_rate: float, snr_sr: float) -> float:
     """First-hop outage probability of the source->relay link."""
     check_range("target_rate", target_rate, 0.0, MAX_TARGET_RATE, hi_open=True)
     check_range("snr_sr", snr_sr, 0.0, lo_open=True)
-    return 1.0 - math.exp(-(2.0 ** (2.0 * target_rate) - 1.0) / snr_sr)
+    return 1.0 - math.exp(-outage_thresholds(target_rate)[1] / snr_sr)
 
 
 def ber_direct(snr_sd: float) -> float:

@@ -58,7 +58,7 @@ CSV columns per command:
   sweep-auth: auth_prob, throughput_sr, throughput_gbn,
               compromise_analytical, compromise_empirical, compromise_stderr
   simulate:   per-relay simulation counters
-  outage-check: relay_id, closed_form, monte_carlo, stderr, abs_gap, within_band
+  outage-check: relay_id, closed_form, monte_carlo, stderr, abs_gap, z, within_band
 """
 
 
@@ -107,11 +107,11 @@ def _load(args) -> "Scenario":
     scenario = load_scenario(args.scenario)
     overrides = list(getattr(args, "set", None) or [])
     # outage-check takes --seed as its own Monte Carlo seed, not the scenario's.
-    if getattr(args, "seed", None) is not None and (
-            args.command == "simulate" or getattr(args, "simulate", False)):
-        overrides.append(f"sim.seed={args.seed}")
-    if overrides:
+    seed = args.seed if args.command == "simulate" or getattr(args, "simulate", False) else None
+    if overrides or seed is not None:
         data = _apply_overrides(scenario_to_dict(scenario), overrides)
+        if seed is not None and "sim" in data:      # a seed alone makes no sim section
+            data["sim"]["seed"] = seed
         scenario = scenario_from_dict(data)
     return scenario
 

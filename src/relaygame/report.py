@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import replace
 from typing import Sequence
 
@@ -54,6 +55,9 @@ from .throughput import (
     throughput_gbn,
     throughput_sr,
 )
+
+#: Standard errors beyond which the outage cross-check flags a row.
+CROSSCHECK_Z_BOUND = 4.0
 
 FADING_CONVENTION = (
     "squared channel gains exponential with mean dist^-pathloss_exp "
@@ -273,39 +277,45 @@ def build_simulation_report(scenario: Scenario, auth_policy: bool = False) -> di
     }
 
 
-def build_outage_crosscheck(
-    scenario: Scenario,
-    trials: int = 1_000_000,
-    seed: int = 0,
-    band: float = 5e-3,
-) -> dict:
+def _crosscheck_z(closed_form: float, monte_carlo: float, trials: int) -> float:
+    """The gap in binomial standard errors at the closed form clipped into
+    [0, 1]; at a certain or impossible outage 0 on agreement, else +-inf."""
+    p = min(max(closed_form, 0.0), 1.0)
+    sd = math.sqrt(p * (1.0 - p) / trials)
+    return (monte_carlo - p) / sd if sd else (
+        0.0 if monte_carlo == p else math.copysign(math.inf, monte_carlo - p))
+
+
+def build_outage_crosscheck(scenario: Scenario, trials: int = 1_000_000, seed: int = 0) -> dict:
     """Side-by-side closed-form vs Monte Carlo outage for every relay link.
 
-    Diagnostic: disagreement beyond the band flags the fading convention but
-    never fails the run.
+    Diagnostic: a gap beyond CROSSCHECK_Z_BOUND standard errors flags the
+    fading convention but never fails the run.
     """
     rows = []
     for idx, (pr, ln) in enumerate(zip(scenario.profiles, scenario.links)):
         cf = outage_closed_form(ln)
         mc = outage_monte_carlo(ln, trials, child_seed(seed, idx))
+        z = _crosscheck_z(cf, mc.probability, trials)
         rows.append({
             "relay_id": pr.id,
             "closed_form": cf,
             "monte_carlo": mc.probability,
             "stderr": mc.stderr,
             "abs_gap": abs(cf - mc.probability),
-            "within_band": abs(cf - mc.probability) <= band,
+            "z": z,
+            "within_band": abs(z) <= CROSSCHECK_Z_BOUND,
         })
     return {
         "report": "outage-crosscheck",
         "provenance": provenance(scenario, seed=seed),
         "trials": trials,
-        "band": band,
+        "z_bound": CROSSCHECK_Z_BOUND,
         "rows": rows,
         "all_within_band": all(r["within_band"] for r in rows),
         "note": None if all(r["within_band"] for r in rows) else (
-            "closed-form and simulated outage disagree beyond the band; "
-            "check the fading convention in the provenance block"),
+            f"closed-form and simulated outage differ by more than {CROSSCHECK_Z_BOUND:g} "
+            "standard errors; check the fading convention in the provenance block"),
     }
 
 

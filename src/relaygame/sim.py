@@ -18,12 +18,11 @@ one-hot in best-utility mode); authenticated hit packets a_j ~ Bin(h_j *
 packets, p_a), the other authenticated packets Bin((n_j - h_j) * packets,
 p_a), compromised = h_j * packets - a_j (refined mode adds Bin(a_j, 1 -
 detect_rate)); errored packets Bin(n_j * packets, 1 - P_c).  Then the outage
-stage, relay by relay: n_j fading realisations of the relay's link, one per
-episode, in blocks of channel.OUTAGE_CHUNK, each block drawing every direct
-gain and then the relay-hop gains of the episodes whose direct path failed
-(channel.count_outages), so the simulated rate stays an independent check of
-the closed form.  The outage stage comes last, so no other counter depends on
-it, and the compromise curve runs the count stage alone.  Memory is O(K^2 +
+stage, relay by relay: the outage count among n_j fading realisations of the
+relay's link (channel.count_outages), whose draws grow with the direct-path
+failures, not n_j, so the simulated rate stays an independent check of the
+closed form.  The outage stage comes last, so no other counter depends on it,
+and the compromise curve runs the count stage alone.  Memory is O(K^2 +
 OUTAGE_CHUNK) whatever the episode count, and equal configs give
 byte-identical reports.
 """
@@ -46,7 +45,7 @@ from .throughput import (
     throughput_for_mode,
 )
 
-RNG_ALGORITHM = "numpy-pcg64/counts-2"
+RNG_ALGORITHM = "numpy-pcg64/counts-3"
 
 
 class AttackerMode(enum.Enum):

@@ -26,41 +26,41 @@ COMMANDS = {
 
 PINNED = {
     ("military", "solve"):
-        "8158505087625b91056f3283afb743ae37866fdbbb5439b6fe7a67723f4cc284",
+        "7775027d2180b2e9b3353f4bc34e9cc5a382127c5c8fb25204424fcf29aa4dc8",
     ("military", "sweep-n-general"):
-        "2737eddafc663a89af2cc8a21be28afae3d11279901f32eb7ab0f77dc16e000d",
+        "30715d72f841cec761948cee5b724a8fedb0feb55bf52f8d425776435b16f7e8",
     ("military", "sweep-n-sr"):
-        "e682126668c9fe67756ed2a13e93865da956b692612574232f8f166e1fe70369",
+        "e1fa59f4d7cc81c323cddb0c369842e49eb4724c853f140849b44bb5193acf78",
     ("military", "sweep-n-gbn"):
-        "0dfff410152859b59f72ef3c6d8a8c337ca67836a103fffd01036d74fddc4816",
+        "55f4b1bc4a86f9c24280d20df53ccc521648aa20e402ee9be2dc3ed451b89caa",
     ("military", "sweep-auth"):
-        "400353c9d2c5a1277faa059adb41348ae360e5acce310cefc08321d879ff58be",
+        "28821c05ce4e2a0e939fcc9248e7451ec1ac8cd3c165ea582af69dca16792bb6",
     ("military", "sweep-auth-simulate"):
-        "f8543a9956ddaf52cbd5aaf2684bb6f4a6496d66bfa4f3848bb49f0302d892a0",
+        "8a745689a8b8bf6513e05909393f69197edb9b564c7cb450675a476353e6858c",
     ("military", "simulate"):
-        "2b4ba28ca9db338fcbd34cc8b9802eabb5bb70a3e1cee3c3cd2aeba92d8e8771",
+        "b1783243c1b3d0f21490d6f64cf578b0c1552935a4b470f0a6826e16121364b4",
     ("military", "simulate-auth-policy"):
-        "8df665a9de201d40bd7864b00a36abea4310a0675b9739ed4bc093a44aecfbee",
+        "14eb0c5b87da5ac86c69cbc70b2492da133f3c3fb409dbfaab4eb3bc0e84de05",
     ("military", "outage-check"):
-        "d8527a6757e4b8574da90cab8bd9e87e762014241051d09677f1eead5cf28210",
+        "71d18355c5292d7a555cd092b738f17e1a5e5a4fa4083fcb5d039c4d6d4039f1",
     ("commercial", "solve"):
-        "1f7ff17bc4755954074a0104c3e7a3a32bb8eb106bc045eb878e0222a560b800",
+        "dad96d4b7b75ad511b4a5c5b79affe194eff591fb8a90db5f62fbee1474300f9",
     ("commercial", "sweep-n-general"):
-        "6a228d648c956d0d37836cf51729df1520894f786a11c53d94884086ead9f9a5",
+        "c89303ba08acdfb0e167cc8a853cf8bc645c52f2bcd0a0f4a2893e80a667ef51",
     ("commercial", "sweep-n-sr"):
-        "fd729e18c17e698047af84eebbba9d101166ae1f16a13602bdff01b63823dfbc",
+        "e4103af6c4be09ca12b77ee8d22e4d479db6fce8dc67de6141fae78d2f29cd5c",
     ("commercial", "sweep-n-gbn"):
-        "852fc59685d06786b7db89dcf8a763f1088383da7eb2459578ce0c2498d7ce76",
+        "31e10c3efc97eb68fba2ba24b116d266fdbe220e27fdc11065031c5888ad51d8",
     ("commercial", "sweep-auth"):
-        "3766965675190383fde323e36681e685f30e3370691046a3e9995fc171cf8a3c",
+        "4cd9e74337589ce9c394028679cac8b6841391ac51a51f8a6d5766b32b43fead",
     ("commercial", "sweep-auth-simulate"):
-        "64712c09f9caab441cbf6f196a3cfd6fe2fa6b548c9276d3a7b997da939b12af",
+        "84eacaf7b69579dd2896b06b2731ff3440c9ad93d6f4dcff393dd4508bb19b1f",
     ("commercial", "simulate"):
-        "15698b18e75f3a6297df43c864d7f439f5988b74e4f7e5b0a7c4182ae3fa2352",
+        "cf897a58028f3f7708a99e78496759b6a3b3f5743e1a776c726e5ca9b81c351c",
     ("commercial", "simulate-auth-policy"):
-        "1ac8111283fa4bd9c26da4d6562e2cab0ccce250915dffe3037d8e7882b574f7",
+        "4bf78f5bdf9fdf3f5889a6c22bb7d7e2f6d10280de6059c6bcc25972536f868d",
     ("commercial", "outage-check"):
-        "69b2127086f37b85740533344bdb34fa1803b6a39f3b7a9e5220ce9f4cccd00b",
+        "c69a51f45893d9a212a5b87318d22a7ef5bb45fdea3a6cd0f4991a4c3115ca59",
 }
 
 

@@ -18,7 +18,6 @@ from relaygame.channel import (
     ber_end_to_end,
     count_outages,
     outage_closed_form,
-    outage_event,
     outage_monte_carlo,
     outage_sr_link,
     outage_thresholds,
@@ -34,6 +33,17 @@ BER_DIVERSITY_1_2 = 0.03705680966554784
 OUTAGE_SR_HALF_1 = 0.6321205588285577   # 1 - exp(-1)
 E2E_COMPOSED = OUTAGE_SR_HALF_1 * BER_DIRECT_1 + (1 - OUTAGE_SR_HALF_1) * BER_DIVERSITY_1_2
 OUTAGE_LIMIT_CASE = 0.04028141835464387
+
+
+def outage_event(g_sd, g_sr, g_rd, snr, t_direct, t_relay):
+    """Selection decode-and-forward outage (Laneman, Tse and Wornell, 2004).
+
+    The achieved rate is max(direct, min(first hop, combined)): the relay path
+    only helps when the relay itself decoded.  Written log-free against the
+    thresholds of ``outage_thresholds``; arguments broadcast elementwise.
+    """
+    return (g_sd * snr < t_direct) & ((g_sr * snr < t_relay)
+                                      | ((g_sd + g_rd) * snr < t_relay))
 
 
 # The outage event's mutual-information definition: the log-form oracle that
@@ -324,35 +334,115 @@ def test_outage_monte_carlo_across_direct_failure_rates(name):
     assert chi2.ppf(0.0005, n) < ss < chi2.ppf(0.9995, n), f"sum z^2 {ss:.1f} of {n}"
 
 
-def count_outages_by_definition(rng, lm, trials):
-    """The documented draw order, written out: per block the direct gains of
-    every episode, then a relay-hop pair for each failed one in order, or for
-    every episode when more than 7/8 of them failed."""
-    t_direct, t_relay = outage_thresholds(lm.target_rate)
-    hits = 0
-    for start in range(0, trials, OUTAGE_CHUNK):
-        g_sd = rng.standard_exponential(min(OUTAGE_CHUNK, trials - start))
-        failed = [g for g in g_sd if g * lm.snr_avg < t_direct]
-        if len(failed) > 7 / 8 * len(g_sd):
-            failed = g_sd
-        pairs = rng.standard_exponential((2, len(failed)))
-        hits += sum(bool(outage_event(
-            g, g_sr * lm.dist_sr ** -lm.pathloss_exp, g_rd * lm.dist_rd ** -lm.pathloss_exp,
-            lm.snr_avg, t_direct, t_relay)) for g, g_sr, g_rd in zip(failed, *pairs))
+def count_outages_in_documented_order(rng, lm, trials):
+    """The documented draw order, written out episode by episode: the count
+    of failed direct paths, the count of those whose first hop failed too,
+    then per block of the rest a uniform for each truncated direct gain and
+    an exponential for each relay-destination gain."""
+    t_direct = 2.0 ** lm.target_rate - 1.0
+    t_relay = 2.0 ** (2.0 * lm.target_rate) - 1.0
+    gamma = lm.snr_avg
+    p_direct = -math.expm1(-t_direct / gamma)
+    failed = rng.binomial(trials, p_direct)
+    hits = rng.binomial(failed, -math.expm1(-t_relay * lm.dist_sr ** lm.pathloss_exp / gamma))
+    rest = failed - hits
+    for start in range(0, rest, OUTAGE_CHUNK):
+        size = min(OUTAGE_CHUNK, rest - start)
+        uniforms = rng.random(size).tolist()
+        exponentials = rng.standard_exponential(size).tolist()
+        for u, e in zip(uniforms, exponentials):
+            g_sd = -math.log1p(-u * p_direct)
+            g_rd = e / lm.dist_rd ** lm.pathloss_exp
+            hits += (g_sd + g_rd) * gamma < t_relay
     return hits
 
 
 @pytest.mark.parametrize("p_direct", [0.01, 0.5, 0.85, 0.95, 1.0])
 def test_count_outages_draws_in_documented_order(p_direct):
-    # 0.85 and 0.95 sit on either side of the 7/8 switch, and 1.0 fails every
-    # direct path; two full blocks and a partial one.
+    # At 0.5 the episodes past the two binomial counts fill two full blocks
+    # and a partial one, at 0.95 one and a partial one; at 1.0 every first
+    # hop fails too, so no block is drawn.
     lm = (link(rate=511.99, snr=1.0) if p_direct == 1.0
           else link_failing_direct(p_direct, 1.0, d_sr=0.3, d_rd=0.7))
-    trials = 2 * OUTAGE_CHUNK + 1234
+    trials = 200_003
     rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-    assert count_outages(rng_a, lm, trials) == count_outages_by_definition(rng_b, lm, trials)
+    assert count_outages(rng_a, lm, trials) == count_outages_in_documented_order(
+        rng_b, lm, trials)
     # Both generators end in the same state, so a caller's next draw agrees.
     assert rng_a.random() == rng_b.random()
+
+
+# Geometries at the edges of the conditional decomposition, each checked
+# against the closed form over pinned seeds like DIRECT_FAILURE_GEOMETRIES:
+# first hops that almost never fail (nearly every failed direct path reaches
+# the block stage), direct paths that almost always fail, the closed form's
+# dist_rd^pathloss_exp = 1 branch, and a rate next to MAX_TARGET_RATE, where
+# every first hop fails and no block is drawn.
+DECOMPOSITION_GEOMETRIES = {
+    "p_first_hop->0": (link_failing_direct(0.3, 10.0, d_sr=0.01, d_rd=1.5), 20_000),
+    "p_direct->1": (link_failing_direct(1.0 - 1e-6, 1.0, d_sr=0.07, d_rd=0.07), 20_000),
+    "dist_rd^alpha=1": (link_failing_direct(0.4, 2.0, alpha=3.0, d_sr=0.8, d_rd=1.0), 20_000),
+    "rate=511.5": (link(rate=511.5, snr=1e154), 20_000),
+}
+
+
+@pytest.mark.parametrize("name", list(DECOMPOSITION_GEOMETRIES))
+def test_count_outages_across_decomposition_edges(name):
+    lm, trials = DECOMPOSITION_GEOMETRIES[name]
+    p = outage_closed_form(lm)
+    assert 0.01 < p < 0.99
+    zs = [(count_outages(np.random.default_rng(seed), lm, trials) / trials - p)
+          / math.sqrt(p * (1.0 - p) / trials) for seed in range(200)]
+    n = len(zs)
+    assert abs(sum(zs) / n) <= 4.0 / math.sqrt(n), f"mean z {sum(zs) / n:.3f}"
+    ss = sum(z * z for z in zs)
+    assert chi2.ppf(0.0005, n) < ss < chi2.ppf(0.9995, n), f"sum z^2 {ss:.1f} of {n}"
+
+
+def test_count_outages_with_no_failed_direct_path():
+    # p_d = 1 - exp(-1e-12): M = 0 at every seed, and only the two binomial
+    # counts are drawn.
+    lm = link(rate=math.log2(1.0 + 1e-12), snr=1.0)
+    p_direct = -math.expm1(-(2.0 ** lm.target_rate - 1.0))
+    for seed in range(50):
+        rng, after = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert count_outages(rng, lm, 1_000_000) == 0
+        after.binomial(1_000_000, p_direct)
+        after.binomial(0, 1.0)
+        assert rng.random() == after.random()
+
+
+def count_outages_per_episode(rng, lm, trials):
+    """``outage_event`` over one (g_sd, g_sr, g_rd) fading draw per episode."""
+    g_sd, g_sr, g_rd = rng.standard_exponential((3, trials))
+    return int(np.count_nonzero(outage_event(
+        g_sd, g_sr * lm.dist_sr ** -lm.pathloss_exp, g_rd * lm.dist_rd ** -lm.pathloss_exp,
+        lm.snr_avg, *outage_thresholds(lm.target_rate))))
+
+
+# p_direct=1e-4 is left out: at these trial counts both samples are mostly 0.
+PER_EPISODE_GEOMETRIES = {
+    name: lm for name, (lm, _) in {**DIRECT_FAILURE_GEOMETRIES,
+                                   **DECOMPOSITION_GEOMETRIES}.items()
+    if name != "p_direct=1e-4"}
+
+
+@pytest.mark.parametrize("name", list(PER_EPISODE_GEOMETRIES))
+def test_count_outages_matches_per_episode_definition(name):
+    # Two-sample z of the decomposed count against the per-episode event on
+    # independent streams, pooled rate; no closed form enters.
+    lm = PER_EPISODE_GEOMETRIES[name]
+    trials = 20_000
+    zs = []
+    for seed in range(100):
+        a = count_outages(np.random.default_rng([seed, 0]), lm, trials)
+        b = count_outages_per_episode(np.random.default_rng([seed, 1]), lm, trials)
+        pooled = (a + b) / (2 * trials)
+        zs.append((a - b) / math.sqrt(2 * trials * pooled * (1.0 - pooled)))
+    n = len(zs)
+    assert abs(sum(zs) / n) <= 4.0 / math.sqrt(n), f"mean z {sum(zs) / n:.3f}"
+    ss = sum(z * z for z in zs)
+    assert chi2.ppf(0.0005, n) < ss < chi2.ppf(0.9995, n), f"sum z^2 {ss:.1f} of {n}"
 
 
 def test_outage_monte_carlo_edge_counts():

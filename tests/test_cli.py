@@ -1,13 +1,16 @@
 """CLI surface: subcommands, flags, exit codes, emitted files."""
 
 import json
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from relaygame import cli
+from relaygame import cli, report
 from relaygame.cli import OVERRIDE_KEYS, main
 from relaygame.report import (
+    build_outage_crosscheck,
     build_solve_report,
     build_sweep_auth_report,
     build_sweep_n_report,
@@ -180,7 +183,7 @@ def test_simulate_writes_deterministic_bundle(capsys, tmp_path):
     bundle = json.loads(a.read_text())
     assert bundle["provenance"]["seed"] == 42
     assert bundle["provenance"]["scenario_hash"]
-    assert bundle["simulation"]["rng_algorithm"] == "numpy-pcg64/counts-2"
+    assert bundle["simulation"]["rng_algorithm"] == "numpy-pcg64/counts-3"
     assert bundle["provenance"]["outage_chunk"] == 32768
 
 
@@ -254,6 +257,22 @@ def test_simulating_needs_a_sim_section(capsys, tmp_path):
     assert run_cli(capsys, "sweep-auth", "--scenario", str(path))[0] == 0
 
 
+def test_seed_without_a_sim_section_reports_it_missing(capsys, tmp_path):
+    # --seed alone does not make a sim section; with --set sim.episodes one
+    # exists and takes the seed.
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps(single_relay_scenario()))
+    for command in (["simulate"], ["sweep-auth", "--simulate"]):
+        code, _, err = run_cli(capsys, *command, "--seed", "3", "--scenario", str(path))
+        assert code == 2
+        assert "scenario.sim: missing; simulating needs a sim section" in err
+        out = tmp_path / "bundle.json"
+        code, _, err = run_cli(capsys, *command, "--set", "sim.episodes=1000", "--seed", "3",
+                               "--scenario", str(path), "--out", str(out))
+        assert code == 0, err
+        assert json.loads(out.read_text())["provenance"]["seed"] == 3
+
+
 def test_seed_leaves_the_scenario_alone_where_nothing_is_simulated(capsys, tmp_path):
     # outage-check takes --seed as its Monte Carlo seed and analytic sweep-auth
     # simulates nothing, so a scenario with no sim section still runs and hashes
@@ -281,6 +300,48 @@ def test_outage_check_seed_seeds_the_monte_carlo(capsys, tmp_path):
         bundles.append(json.loads(out.read_text()))
     assert [b["provenance"]["seed"] for b in bundles] == [3, 4]
     assert bundles[0]["rows"] != bundles[1]["rows"]
+
+
+def with_outage_check_links(base, rng):
+    """``base`` with every link drawn the way the outage-check benchmark
+    draws its file: SNR 6-12 dB, rate 0.75-1.25, pathloss 2-4, distances
+    0.5-1.5, the first relay at dist_rd = 1."""
+    links = []
+    for k, ln in enumerate(base.links):
+        links.append(replace(
+            ln, snr_avg=10.0 ** (rng.uniform(6.0, 12.0) / 10.0),
+            target_rate=rng.uniform(0.75, 1.25), pathloss_exp=rng.uniform(2.0, 4.0),
+            dist_sr=rng.uniform(0.5, 1.5), dist_rd=1.0 if k == 0 else rng.uniform(0.5, 1.5)))
+    return replace(base, links=tuple(links))
+
+
+def test_outage_crosscheck_flags_in_standard_errors(military):
+    rng = np.random.default_rng(9)
+    rows = []
+    for trials in (1_000, 10_000, 100_000, 1_000_000):
+        for seed in range(25):
+            bundle = build_outage_crosscheck(
+                with_outage_check_links(military, rng), trials=trials, seed=seed)
+            assert bundle["z_bound"] == 4.0
+            rows += bundle["rows"]
+    assert all(r["within_band"] == (abs(r["z"]) <= 4.0) for r in rows)
+    assert sum(r["within_band"] for r in rows) >= 0.99 * len(rows)
+    # p = 0.306 at 5e4 trials, 2.6 standard errors low: outside the old fixed
+    # 5e-3 band, inside 4 standard errors.
+    link = replace(military.links[0], snr_avg=2.5, dist_rd=1.2)
+    row = build_outage_crosscheck(replace(military, links=(link,) * 4),
+                                  trials=50_000, seed=45)["rows"][1]
+    assert row["closed_form"] == pytest.approx(0.306, abs=1e-3)
+    assert -2.7 < row["z"] < -2.5 and row["abs_gap"] > 5e-3
+    assert row["within_band"]
+
+
+def test_outage_crosscheck_z_at_certain_and_impossible_outage():
+    assert report._crosscheck_z(0.0, 0.0, 1000) == 0.0
+    assert report._crosscheck_z(-1e-17, 0.0, 1000) == 0.0     # clipped into [0, 1]
+    assert report._crosscheck_z(1.0, 1.0, 1000) == 0.0
+    assert report._crosscheck_z(0.0, 0.001, 1000) == math.inf
+    assert report._crosscheck_z(1.0, 0.999, 1000) == -math.inf
 
 
 def test_unexpected_error_names_its_type_and_origin(capsys, monkeypatch):

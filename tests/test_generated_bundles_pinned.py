@@ -24,7 +24,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 20_161_011
 SCENARIOS = 100
 
-PINNED = "429ca599ac5959894449c3a9c25b5d24a7b5c04f36bc912008a402c191604895"
+PINNED = "f8cccd148e4f31267e1a16a9af7591a8352579888fbe32eaabcb9616f97d3755"
 
 
 def _load_workloads(monkeypatch):

@@ -223,6 +223,33 @@ def test_target_rate_past_threshold_range_rejected(tmp_path, capsys, military):
     assert main(["solve", "--scenario", str(path)]) == 0
 
 
+@pytest.mark.parametrize("field", ["dist_sr", "dist_rd"])
+def test_distance_whose_path_loss_overflows_rejected(tmp_path, capsys, military, field):
+    # dist^4 overflows at 1e90 and underflows to 0 at 1e-90 (its reciprocal
+    # overflows), which used to crash the closed form or the sampler.
+    data = scenario_to_dict(military)
+    data["sim"]["episodes"] = 1000
+    link = data["relays"][0]["link"]
+    link["pathloss_exp"] = 4.0
+    path = tmp_path / "far.json"
+    commands = (["solve"], ["simulate"], ["outage-check", "--trials", "1000"])
+    for dist in (1e90, 1e-90):
+        link[field] = dist
+        with pytest.raises(ValidationError, match=rf"scenario\.relays\[0\]\.link\.{field}"):
+            scenario_from_dict(data)
+        path.write_text(json.dumps(data))
+        for command in commands:
+            assert main([*command, "--scenario", str(path)]) == 2
+            assert f"scenario.relays[0].link.{field}^pathloss_exp and its reciprocal" in capsys.readouterr().err
+    # Far, but with both the path loss and its reciprocal finite: every command runs.
+    for dist in (1e70, 1e-70):
+        link[field] = dist
+        path.write_text(json.dumps(data))
+        for command in commands:
+            assert main([*command, "--scenario", str(path)]) == 0
+            capsys.readouterr()
+
+
 @pytest.mark.parametrize("flag", ["no", "false", 0, 1])
 def test_refined_detection_must_be_boolean(military, flag):
     data = scenario_to_dict(military)
