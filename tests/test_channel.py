@@ -404,11 +404,12 @@ def test_count_outages_with_no_failed_direct_path():
     # counts are drawn.
     lm = link(rate=math.log2(1.0 + 1e-12), snr=1.0)
     p_direct = -math.expm1(-(2.0 ** lm.target_rate - 1.0))
+    p_first_hop = -math.expm1(-(2.0 ** (2.0 * lm.target_rate) - 1.0))
     for seed in range(50):
         rng, after = np.random.default_rng(seed), np.random.default_rng(seed)
         assert count_outages(rng, lm, 1_000_000) == 0
         after.binomial(1_000_000, p_direct)
-        after.binomial(0, 1.0)
+        after.binomial(0, p_first_hop)
         assert rng.random() == after.random()
 
 

@@ -27,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,8 +45,7 @@ def git(*args: str) -> str:
 
 def export(rev: str, dest: Path) -> None:
     """Extract the committed tree of ``rev`` into ``dest`` (fresh each call)."""
-    if dest.exists():
-        subprocess.run(["rm", "-rf", str(dest)], check=True)
+    shutil.rmtree(dest, ignore_errors=True)
     dest.mkdir(parents=True)
     archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE)
     with tarfile.open(fileobj=archive.stdout, mode="r|") as tar:
