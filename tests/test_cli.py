@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from relaygame import cli, report
 from relaygame.cli import OVERRIDE_KEYS, main
@@ -324,7 +325,6 @@ def test_outage_crosscheck_flags_in_standard_errors(military):
                 with_outage_check_links(military, rng), trials=trials, seed=seed)
             assert bundle["z_bound"] == 4.0
             rows += bundle["rows"]
-    assert all(r["within_band"] == (abs(r["z"]) <= 4.0) for r in rows)
     assert sum(r["within_band"] for r in rows) >= 0.99 * len(rows)
     # p = 0.306 at 5e4 trials, 2.6 standard errors low: outside the old fixed
     # 5e-3 band, inside 4 standard errors.
@@ -336,12 +336,50 @@ def test_outage_crosscheck_flags_in_standard_errors(military):
     assert row["within_band"]
 
 
-def test_outage_crosscheck_z_at_certain_and_impossible_outage():
-    assert report._crosscheck_z(0.0, 0.0, 1000) == 0.0
-    assert report._crosscheck_z(-1e-17, 0.0, 1000) == 0.0     # clipped into [0, 1]
-    assert report._crosscheck_z(1.0, 1.0, 1000) == 0.0
-    assert report._crosscheck_z(0.0, 0.001, 1000) == math.inf
-    assert report._crosscheck_z(1.0, 0.999, 1000) == -math.inf
+def test_outage_crosscheck_flags_a_small_expected_count_only_when_rare(military):
+    # P_out = 4.7e-5 at 1e3 trials: one outage is 4.4 standard errors out, yet
+    # happens in about 5 % of rows.
+    link = replace(military.links[0], snr_avg=340.0)
+    rows = []
+    for seed in range(250):
+        rows += build_outage_crosscheck(
+            replace(military, links=(link,) * 4), trials=1_000, seed=seed)["rows"]
+    assert rows[0]["closed_form"] == pytest.approx(4.71e-5, rel=1e-3)
+    assert sum(r["z"] > 4.0 for r in rows) >= 25
+    assert all(r["within_band"] for r in rows)
+
+
+@pytest.mark.parametrize("trials", [1_000, 10_000])
+def test_outage_crosscheck_flags_correct_counts_rarer_than_the_normal_tail(trials):
+    # The exact Bin(trials, p) mass of every count the flag rejects, over the
+    # whole range of outage probabilities.
+    level = 2.0 * scipy_stats.norm.sf(4.0)
+    for p in (1e-6, 5e-5, 1e-3, 0.05, 0.3, 0.5, 0.9, 0.999, 1.0 - 1e-5):
+        flagged = [k for k in range(trials + 1)
+                   if not report._crosscheck(p, k / trials, trials)[1]]
+        assert scipy_stats.binom.pmf(flagged, trials, p).sum() <= level
+        assert flagged     # a count far enough out is flagged at every p
+
+
+def test_outage_crosscheck_at_certain_and_impossible_outage():
+    assert report._crosscheck(0.0, 0.0, 1000) == (0.0, True)
+    assert report._crosscheck(-1e-17, 0.0, 1000) == (0.0, True)     # clipped into [0, 1]
+    assert report._crosscheck(1.0, 1.0, 1000) == (0.0, True)
+    assert report._crosscheck(0.0, 0.001, 1000) == (None, False)
+    assert report._crosscheck(1.0, 0.999, 1000) == (None, False)
+
+
+def test_outage_crosscheck_of_an_impossible_outage_is_strict_json(military, monkeypatch):
+    monkeypatch.setattr(report, "outage_closed_form", lambda link: 0.0)
+    bundle = build_outage_crosscheck(military, trials=10_000, seed=1)
+    assert [r["z"] for r in bundle["rows"]] == [None] * len(military.links)
+    assert not bundle["all_within_band"] and bundle["note"]
+
+    def no_constant(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    parsed = json.loads(bundle_to_json(bundle), parse_constant=no_constant)
+    assert parsed["rows"][0]["z"] is None and parsed["rows"][0]["within_band"] is False
 
 
 def test_unexpected_error_names_its_type_and_origin(capsys, monkeypatch):

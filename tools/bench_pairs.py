@@ -1,12 +1,11 @@
 """Parent/change pairs of the benchmark, written as one BENCH_<n>.json.
 
     python3 tools/bench_pairs.py PARENT_REV CHANGE_REV --number 13 \\
-        [--workloads outage-check,simulate-policy] [--seeds 1-10] \\
         [--claim outage-check:items_per_s] [--description TEXT]
 
 Each revision is exported with ``git archive`` into its own directory under
 ``.bench_work/pairs/`` and benchmarked from there, so only committed files are
-measured.  For every workload and seed it runs
+measured.  For every workload of BENCHMARK.json and seeds 1-10 it runs
 
     python3 bench/run.py --workload W --seed S --seconds 28 --trace 0
 
@@ -36,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SECONDS = 28
+SEEDS = range(1, 11)
 
 
 def git(*args: str) -> str:
@@ -66,8 +66,6 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
 
 
 def quartiles(values: list[float]) -> list[float]:
-    if len(values) == 1:
-        return values * 3
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
@@ -80,7 +78,7 @@ def summarize(runs: list[dict], workloads: list[str], metrics: list[dict]) -> di
                 by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]
         pairs = [(s["parent"], s["change"]) for s in by_seed.values()
                  if "metrics" in s.get("parent", {}) and "metrics" in s.get("change", {})]
-        if not pairs:
+        if len(pairs) < 2:      # quartiles need two pairs
             continue
         out = {}
         for m in metrics:
@@ -126,26 +124,18 @@ def verdict(summary: dict, claim: str, better: dict) -> dict:
     }
 
 
-def seed_range(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="parent revision")
     ap.add_argument("change", help="change revision")
     ap.add_argument("--number", type=int, required=True, help="writes BENCH_<number>.json")
-    ap.add_argument("--workloads", help="comma list (default: every BENCHMARK.json workload)")
-    ap.add_argument("--seeds", default="1-10", help="seed range, e.g. 1-10 (default)")
     ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     ap.add_argument("--description", default="", help="what the change is")
     args = ap.parse_args()
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = benchmark["end_to_end"]
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in benchmark["workloads"]])
+    workloads = [w["name"] for w in benchmark["workloads"]]
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
     work = ROOT / ".bench_work" / "pairs"
     checkouts = {side: work / side for side in commits}
@@ -167,7 +157,7 @@ def main() -> int:
         "runs": [],
     }
     for workload in workloads:
-        for seed in seed_range(args.seeds):
+        for seed in SEEDS:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for i, side in enumerate(order):
                 result = run_once(checkouts[side], workload, seed)
