@@ -9,6 +9,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from relaygame import cli, report
+from relaygame.channel import ber_end_to_end, packet_success
 from relaygame.cli import OVERRIDE_KEYS, main
 from relaygame.report import (
     build_outage_crosscheck,
@@ -66,6 +67,19 @@ def test_degenerate_maps_to_exit_three(capsys):
     code, _, err = run_cli(capsys, "solve", "--scenario", "military",
                            "--set", "game.detect_rate=0")
     assert code == 3
+
+
+def test_sweep_n_of_an_unsolvable_game_binds_the_first_relay(capsys, tmp_path, military):
+    """sweep-n needs no equilibrium: with none to name the most-attacked
+    relay, P_c is the first relay's."""
+    out = tmp_path / "sweep.json"
+    code, _, _ = run_cli(capsys, "sweep-n", "--scenario", "military",
+                         "--set", "game.detect_rate=0", "--out", str(out))
+    assert code == 0
+    p_c = [packet_success(ber_end_to_end(ln.target_rate, ln.snr_sd, ln.snr_sr, ln.snr_rd),
+                          military.throughput.packet_bits) for ln in military.links]
+    assert json.loads(out.read_text())["packet_success"] == p_c[0]
+    assert len(set(p_c)) == len(p_c)
 
 
 def test_invalid_override_key(capsys):

@@ -1,12 +1,15 @@
-"""One SHA-256 over the bundles of 100 generated scenarios.
+"""Two SHA-256 digests over the bundles of 100 generated scenarios.
 
 The scenarios come from the benchmark's ``generate_scenario`` (2-32 relays,
-both timing models, with and without a sim section) at a fixed seed.  Each
-goes through ``solve --diagnostics`` and ``sweep-n`` in all three ARQ modes,
-so a refactor of the game, channel, throughput or report code that changes
-any byte of any of these bundles turns this test red.  Like
-``test_bundles_pinned.py``, a change that alters a formula on purpose
-updates the digest and says which bundles moved.
+both timing models, with and without a sim section) at a fixed seed.  The
+first digest covers ``solve --diagnostics`` and ``sweep-n`` in all three ARQ
+modes.  The second covers the commands that read a sim section: analytic and
+simulated ``sweep-auth``, ``simulate`` with and without ``--auth-policy``,
+and ``outage-check``, at small sizes, with a sim section added where the
+generator left none.  A refactor of the game, channel, throughput, sim or
+report code that changes any byte of any of these bundles turns a test red.
+Like ``test_bundles_pinned.py``, a change that alters a formula or the draws
+on purpose updates the digest and says which bundles moved.
 """
 
 import hashlib
@@ -25,6 +28,11 @@ SEED = 20_161_011
 SCENARIOS = 100
 
 PINNED = "f8cccd148e4f31267e1a16a9af7591a8352579888fbe32eaabcb9616f97d3755"
+PINNED_SIMULATED = "b9d95433bf12d13a63490822749cca670826062738c8831232cc54fc682a6254"
+
+EPISODES = 2_000
+TRIALS = 1_000
+GRID = [i / 10 for i in range(11)]
 
 
 def _load_workloads(monkeypatch):
@@ -50,3 +58,22 @@ def test_generated_scenario_bundles_are_pinned(monkeypatch):
             digest.update(report.bundle_to_json(bundle).encode())
             digest.update(b"\n")
     assert digest.hexdigest() == PINNED
+
+
+def test_generated_scenario_simulation_bundles_are_pinned(monkeypatch):
+    workloads = _load_workloads(monkeypatch)
+    rng = np.random.default_rng(SEED)
+    digest = hashlib.sha256()
+    for j in range(SCENARIOS):
+        data, _ = workloads.generate_scenario(rng, 2 + j % 31)
+        data["sim"] = {**data.get("sim", {"seed": j}), "episodes": EPISODES}
+        sc = scenario.scenario_from_dict(data)
+        bundles = [report.build_sweep_auth_report(sc, GRID, simulate=simulate)
+                   for simulate in (False, True)]
+        bundles += [report.build_simulation_report(sc, auth_policy=policy)
+                    for policy in (False, True)]
+        bundles.append(report.build_outage_crosscheck(sc, trials=TRIALS, seed=j))
+        for bundle in bundles:
+            digest.update(report.bundle_to_json(bundle).encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == PINNED_SIMULATED
