@@ -139,8 +139,13 @@ def outage_monte_carlo(link: LinkModel, trials: int, seed: int) -> OutageEstimat
     """
     check_range("trials", trials, 1)
     p_hat = count_outages(np.random.default_rng(seed), link, trials) / trials
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-    return OutageEstimate(probability=p_hat, stderr=stderr, trials=trials, seed=seed)
+    return OutageEstimate(probability=p_hat, stderr=binomial_stderr(p_hat, trials),
+                          trials=trials, seed=seed)
+
+
+def binomial_stderr(p_hat: float, trials: int) -> float:
+    """Standard error sqrt(p(1 - p) / n) of a hit fraction p over n trials."""
+    return math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
 def outage_sr_link(target_rate: float, snr_sr: float) -> float:

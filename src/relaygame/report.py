@@ -15,21 +15,8 @@ from dataclasses import replace
 from typing import Sequence
 
 from . import __version__
-from .channel import (
-    OUTAGE_CHUNK,
-    ber_end_to_end,
-    outage_closed_form,
-    outage_monte_carlo,
-    outage_sr_link,
-    packet_success,
-)
-from .errors import (
-    DegenerateGameError,
-    InfeasibleEquilibriumError,
-    NoFeasibleMessageCountError,
-    ValidationError,
-    check_range,
-)
+from .channel import OUTAGE_CHUNK, outage_closed_form, outage_monte_carlo, outage_sr_link
+from .errors import NoFeasibleMessageCountError, ValidationError, check_range
 from .game import (
     EquilibriumSolution,
     combined_asset,
@@ -43,7 +30,6 @@ from .sim import (
     check_auth_grid,
     child_seed,
     estimate_compromise_curve,
-    most_attacked_relay,
     policy_auth_probs,
     run_simulation,
 )
@@ -88,7 +74,8 @@ def _membership(solution: EquilibriumSolution, relay_id: int) -> str:
     return "non-sensible"
 
 
-def equilibrium_table(scenario: Scenario, solution: EquilibriumSolution) -> list[dict]:
+def equilibrium_table(scenario: Scenario) -> list[dict]:
+    solution = scenario.solution
     rows = []
     for k, pr in enumerate(scenario.profiles):
         u_att, u_src = solution.per_relay[k]
@@ -105,17 +92,13 @@ def equilibrium_table(scenario: Scenario, solution: EquilibriumSolution) -> list
 
 
 def channel_table(scenario: Scenario) -> list[dict]:
-    rows = []
-    for pr, ln in zip(scenario.profiles, scenario.links):
-        ber = ber_end_to_end(ln.target_rate, ln.snr_sd, ln.snr_sr, ln.snr_rd)
-        rows.append({
-            "relay_id": pr.id,
-            "outage_closed_form": outage_closed_form(ln),
-            "outage_sr_link": outage_sr_link(ln.target_rate, ln.snr_sr),
-            "ber_end_to_end": ber,
-            "packet_success": packet_success(ber, scenario.throughput.packet_bits),
-        })
-    return rows
+    return [{
+        "relay_id": rid,
+        "outage_closed_form": outage_closed_form(ln),
+        "outage_sr_link": outage_sr_link(ln.target_rate, ln.snr_sr),
+        "ber_end_to_end": ber,
+        "packet_success": p_c,
+    } for rid, ln, ber, p_c in zip(scenario.ids, scenario.links, scenario.ber, scenario.p_c)]
 
 
 def build_solve_report(scenario: Scenario, diagnostics: bool = False) -> dict:
@@ -134,7 +117,7 @@ def build_solve_report(scenario: Scenario, diagnostics: bool = False) -> dict:
         },
         "lambda_attacker": solution.lambda_attacker,
         "lambda_source": solution.lambda_source,
-        "equilibrium": equilibrium_table(scenario, solution),
+        "equilibrium": equilibrium_table(scenario),
         "verification": {
             "attacker_gain": check.attacker_gain,
             "source_gain": check.source_gain,
@@ -156,7 +139,7 @@ def build_sweep_n_report(scenario: Scenario, n_values: Sequence[int], arq: ArqMo
         raise ValidationError("message-count range must not be empty")
     for n in n_values:
         check_range("message count", n, 1)
-    p_c = _scenario_pc(scenario)
+    p_c = scenario.p_c[scenario.conditioning]
     cfg = scenario.throughput
     sweep = sweep_messages(cfg, max(n_values), arq, p_c)
     rows = [{"n": n, "throughput": sweep[n - 1][0], "plot_omitted": sweep[n - 1][0] <= 0.0}
@@ -175,20 +158,6 @@ def build_sweep_n_report(scenario: Scenario, n_values: Sequence[int], arq: ArqMo
         "optimal": optimal,
         "annotations": list(scenario.annotations),
     }
-
-
-def _scenario_pc(scenario: Scenario, relay_id: int | None = None) -> float:
-    """Packet-success probability bound to one relay's link (default: relay
-    the attacker targets most, falling back to the first relay pre-solve)."""
-    ids = [pr.id for pr in scenario.profiles]
-    if relay_id is None:
-        try:
-            relay_id = most_attacked_relay(scenario.profiles, scenario.solution)
-        except (DegenerateGameError, InfeasibleEquilibriumError):
-            relay_id = ids[0]
-    ln = scenario.links[ids.index(relay_id)]
-    ber = ber_end_to_end(ln.target_rate, ln.snr_sd, ln.snr_sr, ln.snr_rd)
-    return packet_success(ber, scenario.throughput.packet_bits)
 
 
 def _scenario_sim(scenario: Scenario) -> SimConfig:
@@ -210,11 +179,8 @@ def build_sweep_auth_report(
     (``sim``, else the scenario's) and reports that relay's empirical rate.
     """
     check_auth_grid(grid)
-    solution = scenario.solution
-    relay_id = most_attacked_relay(scenario.profiles, solution)
-    p_star = solution.attacker.probs[
-        [pr.id for pr in scenario.profiles].index(relay_id)]
-    p_c = _scenario_pc(scenario, relay_id)
+    j = scenario.conditioning
+    p_star, p_c = scenario.solution.attacker.probs[j], scenario.p_c[j]
     cfg = scenario.throughput
 
     rows = []
@@ -234,7 +200,7 @@ def build_sweep_auth_report(
     if simulate:
         sim = sim or _scenario_sim(scenario)
         seed = sim.seed
-        curve = estimate_compromise_curve(scenario, list(grid), sim, solution, relay_id)
+        curve = estimate_compromise_curve(scenario, list(grid), sim)
         for row, point in zip(rows, curve):
             row["compromise_empirical"] = point.empirical
             row["compromise_stderr"] = point.stderr
@@ -242,7 +208,7 @@ def build_sweep_auth_report(
     return {
         "report": "sweep-auth",
         "provenance": provenance(scenario, seed=seed),
-        "conditioning_relay": relay_id,
+        "conditioning_relay": scenario.ids[j],
         "attack_prob_conditioning": p_star,
         "packet_success": p_c,
         "rows": rows,
@@ -265,7 +231,7 @@ def build_simulation_report(scenario: Scenario, auth_policy: bool = False) -> di
     return {
         "report": "simulate",
         "provenance": provenance(scenario, seed=sim.seed),
-        "equilibrium": equilibrium_table(scenario, solution),
+        "equilibrium": equilibrium_table(scenario),
         "channel": channel_table(scenario),
         "security": {
             "max_compromised_fraction": scenario.security.max_compromised_fraction,

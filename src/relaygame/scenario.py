@@ -20,8 +20,8 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .channel import LinkModel
-from .errors import ValidationError
+from .channel import LinkModel, ber_end_to_end, packet_success
+from .errors import DegenerateGameError, InfeasibleEquilibriumError, ValidationError
 from .game import EquilibriumSolution, GameParams, RelayProfile, solve_equilibrium
 from .sim import SimConfig, resolve_auth
 from .throughput import SecurityRequirement, ThroughputConfig
@@ -48,14 +48,38 @@ class Scenario:
         if len(self.profiles) != len(self.links):
             raise ValidationError(
                 f"{len(self.profiles)} relay profiles but {len(self.links)} links")
-        ids = [pr.id for pr in self.profiles]
-        if len(set(ids)) != len(ids):
-            raise ValidationError(f"duplicate relay ids: {ids}")
+        if len(set(self.ids)) != len(self.ids):
+            raise ValidationError(f"duplicate relay ids: {list(self.ids)}")
         if self.sim is not None:
-            resolve_auth(self, self.sim, ids)   # a per-relay mapping must name these relays
+            resolve_auth(self, self.sim)    # a per-relay mapping must name these relays
 
     # A scenario is frozen, so what every report asks of it is worked out
-    # once and kept: its hash for provenance, and its equilibrium.
+    # once and kept: its hash for provenance, its equilibrium, and per relay
+    # its id, its link's end-to-end BER and packet success P_c, and which
+    # relay conditions the sweeps.
+
+    @functools.cached_property
+    def ids(self) -> tuple[int, ...]:
+        return tuple(pr.id for pr in self.profiles)
+
+    @functools.cached_property
+    def ber(self) -> tuple[float, ...]:
+        return tuple(ber_end_to_end(ln.target_rate, ln.snr_sd, ln.snr_sr, ln.snr_rd)
+                     for ln in self.links)
+
+    @functools.cached_property
+    def p_c(self) -> tuple[float, ...]:
+        return tuple(packet_success(b, self.throughput.packet_bits) for b in self.ber)
+
+    @functools.cached_property
+    def conditioning(self) -> int:
+        """Index of the relay the attacker targets most, ties to the smaller id;
+        the first relay when the game has no equilibrium to read it from."""
+        try:
+            probs = self.solution.attacker.probs
+        except (DegenerateGameError, InfeasibleEquilibriumError):
+            return 0
+        return max(range(len(probs)), key=lambda j: (probs[j], -self.ids[j]))
 
     @functools.cached_property
     def _hash(self) -> str:
@@ -339,7 +363,7 @@ def _write(obj) -> dict:
     return out
 
 
-def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
+def scenario_from_dict(data: dict) -> Scenario:
     root = _Node(data, "scenario")
     version = root.require("schema_version")
     if version != SCHEMA_VERSION:
@@ -364,9 +388,8 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
     if not isinstance(annotations, list):
         raise ValidationError("scenario.annotations: expected an array of strings")
 
-    stated_name = root.checked("name", "unnamed", lambda v: isinstance(v, str), "a string")
     return Scenario(
-        name=name or stated_name,
+        name=root.checked("name", "unnamed", lambda v: isinstance(v, str), "a string"),
         profiles=tuple(profiles),
         links=tuple(links),
         annotations=tuple(str(a) for a in annotations),

@@ -35,12 +35,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import ber_end_to_end, count_outages, outage_closed_form, packet_success
+from .channel import binomial_stderr, count_outages, outage_closed_form
 from .errors import ValidationError, check_range
 from .game import EquilibriumSolution
 from .throughput import (
     ArqMode,
     SecurityRequirement,
+    compromising_probability,
     min_auth_probability,
     throughput_for_mode,
 )
@@ -147,8 +148,10 @@ def policy_auth_probs(
     }
 
 
-def resolve_auth(scenario, sim: SimConfig, ids: Sequence[int]) -> dict[int, float]:
-    """Authentication probability by relay id; a mapping must name exactly ``ids``."""
+def resolve_auth(scenario, sim: SimConfig) -> dict[int, float]:
+    """Authentication probability by relay id; a mapping must name exactly the
+    scenario's relays."""
+    ids = scenario.ids
     if sim.auth_prob is None:
         return {i: scenario.throughput.auth_prob for i in ids}
     if isinstance(sim.auth_prob, (int, float)):
@@ -166,7 +169,7 @@ def _rate_stderr(count: int, total: int) -> tuple[float, float]:
     if total == 0:
         return 0.0, 0.0
     rate = count / total
-    return rate, float(np.sqrt(rate * (1.0 - rate) / total))
+    return rate, binomial_stderr(rate, total)
 
 
 def draw_selection_table(
@@ -188,7 +191,6 @@ class _Counts:
     auth_by_id: dict[int, float]
     q_select: np.ndarray
     pa_vec: np.ndarray
-    p_c: np.ndarray
     table: np.ndarray          # episodes by (target, selected) relay index
     selected: np.ndarray       # the table's column sums
     authenticated: np.ndarray
@@ -196,13 +198,13 @@ class _Counts:
     errored: np.ndarray
 
 
-def _count_stage(scenario, sim: SimConfig, solution: EquilibriumSolution,
-                 ids: list[int]) -> _Counts:
+def _count_stage(scenario, sim: SimConfig, solution: EquilibriumSolution) -> _Counts:
     """Draw the table, the authentication binomials, the refined-detection
     leak and the errored packets, in that order, from a generator seeded
     with ``sim.seed``."""
+    ids = scenario.ids
     k = len(ids)
-    auth_by_id = resolve_auth(scenario, sim, ids)
+    auth_by_id = resolve_auth(scenario, sim)
     ppe = sim.packets_per_episode
 
     if sim.attacker_mode is AttackerMode.UNIFORM:
@@ -215,13 +217,6 @@ def _count_stage(scenario, sim: SimConfig, solution: EquilibriumSolution,
     else:
         q_select = np.array(solution.source.probs)
     pa_vec = np.array([auth_by_id[i] for i in ids])
-    p_c = np.array([
-        packet_success(
-            ber_end_to_end(ln.target_rate, ln.snr_sd, ln.snr_sr, ln.snr_rd),
-            scenario.throughput.packet_bits,
-        )
-        for ln in scenario.links
-    ])
 
     rng = np.random.default_rng(sim.seed)
     table = draw_selection_table(rng, sim.episodes, p_attack, q_select)
@@ -231,8 +226,8 @@ def _count_stage(scenario, sim: SimConfig, solution: EquilibriumSolution,
     compromised = hits * ppe - auth_hit
     if sim.refined_detection:
         compromised += rng.binomial(auth_hit, 1.0 - scenario.game.detect_rate)
-    errored = rng.binomial(selected * ppe, 1.0 - p_c)
-    return _Counts(rng, auth_by_id, q_select, pa_vec, p_c, table, selected,
+    errored = rng.binomial(selected * ppe, 1.0 - np.array(scenario.p_c))
+    return _Counts(rng, auth_by_id, q_select, pa_vec, table, selected,
                    auth_hit + auth_other, compromised, errored)
 
 
@@ -248,11 +243,10 @@ def run_simulation(
     """
     if solution is None:
         raise ValidationError("scenario must be solved before simulating")
-    profiles = scenario.profiles
     links = scenario.links
-    ids = [pr.id for pr in profiles]
+    ids = scenario.ids
     episodes, ppe = sim.episodes, sim.packets_per_episode
-    c = _count_stage(scenario, sim, solution, ids)
+    c = _count_stage(scenario, sim, solution)
     # The outage stage comes last, so the other counters never depend on it.
     outages = [count_outages(c.rng, ln, n) for ln, n in zip(links, c.selected.tolist())]
 
@@ -263,13 +257,13 @@ def run_simulation(
     attacker_counts = c.table.sum(axis=1).tolist()
 
     per_relay = []
-    for pr, ln, att_eps, sel_eps, comp_j, err_j, out_j, pc_j in zip(
-            profiles, links, attacker_counts, c.selected.tolist(), c.compromised.tolist(),
-            c.errored.tolist(), outages, c.p_c.tolist()):
+    for rid, ln, att_eps, sel_eps, comp_j, err_j, out_j, pc_j in zip(
+            ids, links, attacker_counts, c.selected.tolist(), c.compromised.tolist(),
+            c.errored.tolist(), outages, scenario.p_c):
         packets_j = sel_eps * ppe
         rate_j, se_j = _rate_stderr(comp_j, packets_j)
         per_relay.append(RelaySimStats(
-            relay_id=pr.id,
+            relay_id=rid,
             attacker_episodes=att_eps,
             source_episodes=sel_eps,
             packets=packets_j,
@@ -280,7 +274,7 @@ def run_simulation(
             outage_rate=out_j / sel_eps if sel_eps else 0.0,
             outage_closed_form=outage_closed_form(ln),
             packet_success_analytical=pc_j,
-            auth_prob=c.auth_by_id[pr.id],
+            auth_prob=c.auth_by_id[rid],
         ))
 
     # ARQ throughput: empirical uses the observed packet-success frequency,
@@ -288,7 +282,7 @@ def run_simulation(
     # selection probabilities.  The payload terms use the selection-weighted
     # authentication probability, which the per-packet Bernoulli draws
     # converge to.
-    pc_analytical = min(1.0, max(0.0, float(c.q_select @ c.p_c)))
+    pc_analytical = min(1.0, max(0.0, float(c.q_select @ scenario.p_c)))
     pc_empirical = 1.0 - err_total / packets_total
     # Convex combinations; clip pure round-off back into [0, 1].
     pa_effective = min(1.0, max(0.0, float(c.q_select @ c.pa_vec)))
@@ -342,12 +336,6 @@ class CompromisePoint:
     seed: int
 
 
-def most_attacked_relay(profiles, solution: EquilibriumSolution) -> int:
-    """Id of the relay the attacker targets most; ties go to the smaller id."""
-    ids = [pr.id for pr in profiles]
-    return ids[max(range(len(ids)), key=lambda j: (solution.attacker.probs[j], -ids[j]))]
-
-
 def check_auth_grid(grid: Sequence[float]) -> None:
     """Reject an empty authentication grid or a value outside [0, 1]."""
     if len(grid) == 0:
@@ -362,38 +350,29 @@ def child_seed(master: int, index: int) -> int:
 
 
 def estimate_compromise_curve(
-    scenario,
-    grid: Sequence[float],
-    sim: SimConfig,
-    solution: EquilibriumSolution,
-    relay_id: int | None = None,
+    scenario, grid: Sequence[float], sim: SimConfig
 ) -> tuple[CompromisePoint, ...]:
     """Sweep the authentication probability and compare bound vs simulation.
 
     The count stage of one simulation runs per grid point under a derived
     sub-seed, so each point equals ``run_simulation``'s at that seed; the
-    empirical column is the compromise rate conditional on the conditioning
-    relay (default: the relay the attacker targets most).
+    empirical column is the compromise rate conditional on the scenario's
+    conditioning relay, the one the attacker targets most.
     """
     check_auth_grid(grid)
-    ids = [pr.id for pr in scenario.profiles]
-    if relay_id is None:
-        relay_id = most_attacked_relay(scenario.profiles, solution)
-    elif relay_id not in ids:
-        raise ValidationError(f"unknown relay id {relay_id}")
-    j = ids.index(relay_id)
+    solution = scenario.solution
+    j = scenario.conditioning
     p_star = solution.attacker.probs[j]
 
     points = []
     for idx, pa in enumerate(grid):
         seed = child_seed(sim.seed, idx)
-        counts = _count_stage(
-            scenario, replace(sim, seed=seed, auth_prob=float(pa)), solution, ids)
+        counts = _count_stage(scenario, replace(sim, seed=seed, auth_prob=float(pa)), solution)
         empirical, stderr = _rate_stderr(
             int(counts.compromised[j]), int(counts.selected[j]) * sim.packets_per_episode)
         points.append(CompromisePoint(
             auth_prob=float(pa),
-            analytical=(1.0 - pa) * p_star,
+            analytical=compromising_probability(float(pa), p_star),
             empirical=empirical,
             stderr=stderr,
             seed=seed,

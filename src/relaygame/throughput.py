@@ -145,33 +145,25 @@ def payload_noauth(cfg: ThroughputConfig) -> float:
     return _payloads(cfg, cfg.n_messages, cfg.auth_payload_per_packet())[1]
 
 
-def _arq_throughput(cfg: ThroughputConfig, mode: ArqMode, p_c: float) -> float:
-    """The one ARQ formula at cfg.n_messages."""
+def throughput_for_mode(cfg: ThroughputConfig, mode: ArqMode, p_c: float) -> float:
+    """The one ARQ formula at cfg.n_messages; the general mode ignores ``p_c``."""
     p_c, retry = _mode_terms(cfg, mode, p_c)
     return _arq_at(cfg, cfg.n_messages, cfg.auth_payload_per_packet(), p_c, retry)
 
 
 def throughput_general(cfg: ThroughputConfig) -> float:
     """Total payload over total (pre-signature + transfer) time."""
-    return _arq_throughput(cfg, ArqMode.GENERAL, 1.0)
+    return throughput_for_mode(cfg, ArqMode.GENERAL, 1.0)
 
 
 def throughput_sr(cfg: ThroughputConfig, p_c: float) -> float:
     """Selective-repeat ARQ throughput: only errored packets are resent."""
-    return _arq_throughput(cfg, ArqMode.SR, p_c)
+    return throughput_for_mode(cfg, ArqMode.SR, p_c)
 
 
 def throughput_gbn(cfg: ThroughputConfig, p_c: float) -> float:
     """Go-back-N ARQ throughput: an error costs the whole outstanding window."""
-    return _arq_throughput(cfg, ArqMode.GBN, p_c)
-
-
-def throughput_for_mode(cfg: ThroughputConfig, mode: ArqMode, p_c: float) -> float:
-    if mode is ArqMode.GENERAL:
-        return throughput_general(cfg)
-    if mode is ArqMode.SR:
-        return throughput_sr(cfg, p_c)
-    return throughput_gbn(cfg, p_c)
+    return throughput_for_mode(cfg, ArqMode.GBN, p_c)
 
 
 def sweep_messages(cfg: ThroughputConfig, n_max: int, arq: ArqMode,

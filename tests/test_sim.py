@@ -19,7 +19,6 @@ from relaygame.sim import (
     child_seed,
     draw_selection_table,
     estimate_compromise_curve,
-    most_attacked_relay,
     policy_auth_probs,
     run_simulation,
 )
@@ -192,8 +191,7 @@ def test_policy_auth_simulation_respects_bound(military, military_solution):
 
 def test_compromise_curve(military, military_solution):
     sim = SimConfig(episodes=120_000, seed=37)
-    curve = estimate_compromise_curve(
-        military, [0.0, 0.5, 1.0], sim, military_solution)
+    curve = estimate_compromise_curve(military, [0.0, 0.5, 1.0], sim)
     p3 = military_solution.attacker.probs[2]
     assert [pt.analytical for pt in curve] == \
         pytest.approx([p3, 0.5 * p3, 0.0], abs=1e-12)
@@ -206,8 +204,7 @@ def test_compromise_curve(military, military_solution):
     for a, b in zip(curve, curve[1:]):
         assert b.empirical <= a.empirical + 3 * (a.stderr + b.stderr)
     # Sub-seeds differ per grid point but derive deterministically.
-    again = estimate_compromise_curve(
-        military, [0.0, 0.5, 1.0], sim, military_solution)
+    again = estimate_compromise_curve(military, [0.0, 0.5, 1.0], sim)
     assert curve == again
     assert len({pt.seed for pt in curve}) == 3
 
@@ -226,16 +223,15 @@ def test_compromise_curve_equals_full_runs(request, preset, fields):
     solution = scenario.solution
     sim = SimConfig(episodes=30_000, seed=47, **fields)
     grid = [0.0, 0.3, 0.7, 1.0]
-    for relay_id in (None, 2):
-        curve = estimate_compromise_curve(scenario, grid, sim, solution, relay_id)
-        rid = relay_id or most_attacked_relay(scenario.profiles, solution)
-        for idx, (pa, point) in enumerate(zip(grid, curve)):
-            assert point.seed == child_seed(sim.seed, idx)
-            report = run_simulation(
-                scenario, replace(sim, seed=point.seed, auth_prob=pa), solution)
-            stats = next(r for r in report.per_relay if r.relay_id == rid)
-            assert (point.empirical, point.stderr) == (
-                stats.compromise_rate, stats.compromise_stderr)
+    curve = estimate_compromise_curve(scenario, grid, sim)
+    rid = scenario.ids[scenario.conditioning]
+    for idx, (pa, point) in enumerate(zip(grid, curve)):
+        assert point.seed == child_seed(sim.seed, idx)
+        report = run_simulation(
+            scenario, replace(sim, seed=point.seed, auth_prob=pa), solution)
+        stats = next(r for r in report.per_relay if r.relay_id == rid)
+        assert (point.empirical, point.stderr) == (
+            stats.compromise_rate, stats.compromise_stderr)
 
 
 @pytest.mark.parametrize("refined", [False, True])
@@ -256,20 +252,17 @@ def test_outage_is_the_last_stage(monkeypatch, military, military_solution, refi
 
 
 def test_compromise_curve_single_point(military, military_solution):
-    (point,) = estimate_compromise_curve(
-        military, [1.0], SimConfig(episodes=20_000, seed=41), military_solution)
+    (point,) = estimate_compromise_curve(military, [1.0], SimConfig(episodes=20_000, seed=41))
     assert point.empirical == 0.0
     assert point.analytical == 0.0
 
 
-def test_compromise_curve_validation(military, military_solution):
+def test_compromise_curve_validation(military):
     sim = SimConfig(episodes=10, seed=1)
     with pytest.raises(ValidationError):
-        estimate_compromise_curve(military, [], sim, military_solution)
+        estimate_compromise_curve(military, [], sim)
     with pytest.raises(ValidationError):
-        estimate_compromise_curve(military, [1.2], sim, military_solution)
-    with pytest.raises(ValidationError):
-        estimate_compromise_curve(military, [0.5], sim, military_solution, relay_id=99)
+        estimate_compromise_curve(military, [1.2], sim)
 
 
 def test_sim_config_validation():
