@@ -293,3 +293,14 @@ def test_null_means_absent(military):
     assert loaded.game.weight_info == 0.5
     assert loaded.sim.attacker_mode.value == "equilibrium"
     assert loaded.profiles[1].id == 2
+
+
+def test_conditioning_relay_ties_go_to_the_smaller_id(military):
+    """Equal assets give equal attack probabilities; the conditioning relay is
+    then the one with the smallest id, wherever it sits in the list."""
+    data = scenario_to_dict(military)
+    for relay, rid in zip(data["relays"], (9, 4, 7, 2)):
+        relay.update(id=rid, info_asset=0.75, sec_asset=0.75)
+    sc = scenario_from_dict(data)
+    assert len(set(sc.solution.attacker.probs)) == 1
+    assert sc.ids[sc.conditioning] == 2
