@@ -10,6 +10,7 @@ when that variable is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -219,7 +220,9 @@ def cmd_outage_check(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on first use and shared by later calls; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="relaygame",
         description="Relay-selection security game: equilibrium, QoS models, simulation.",

@@ -21,14 +21,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .channel import LinkModel, ber_end_to_end, packet_success
-from .errors import DegenerateGameError, InfeasibleEquilibriumError, ValidationError
+from .errors import (DegenerateGameError, InfeasibleEquilibriumError, RelayGameError,
+                     ValidationError)
 from .game import EquilibriumSolution, GameParams, RelayProfile, solve_equilibrium
 from .sim import SimConfig, resolve_auth
 from .throughput import SecurityRequirement, ThroughputConfig
 
 SCHEMA_VERSION = 1
-
-PRESET_NAMES = ("military", "commercial")
 
 
 @dataclass(frozen=True)
@@ -180,8 +179,12 @@ def _commercial() -> Scenario:
     )
 
 
+_PRESETS = {"military": _military, "commercial": _commercial}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def presets() -> dict[str, Scenario]:
-    return {"military": _military(), "commercial": _commercial()}
+    return {name: build() for name, build in _PRESETS.items()}
 
 
 # --- the field table -------------------------------------------------------
@@ -413,7 +416,28 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def canonical_json(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    """Strict JSON, keys sorted; a NaN or infinity is an error naming its path."""
+    try:
+        return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        found = _nonfinite(data, "")
+        if found is None:
+            raise
+        raise RelayGameError(f"{found[0]}: {found[1]} has no strict JSON form") from None
+
+
+def _nonfinite(node, path: str) -> tuple[str, float] | None:
+    """Path and value of the first NaN or infinity in ``node``, in the order
+    canonical_json writes it."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else (path, node)
+    if isinstance(node, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in sorted(node.items()))
+    elif isinstance(node, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(node))
+    else:
+        return None
+    return next(filter(None, (_nonfinite(v, sub) for sub, v in items)), None)
 
 
 def scenario_hash(s: Scenario) -> str:
@@ -423,8 +447,8 @@ def scenario_hash(s: Scenario) -> str:
 def load_scenario(source: str | Path) -> Scenario:
     """Resolve a preset name or read a scenario JSON file."""
     name = str(source)
-    if name in PRESET_NAMES:
-        return presets()[name]
+    if name in _PRESETS:
+        return _PRESETS[name]()
     path = Path(source)
     if not path.exists():
         raise ValidationError(

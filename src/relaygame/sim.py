@@ -30,7 +30,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -134,8 +134,12 @@ class SimReport:
     notes: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        """Plain-data form; its tuples serialize as JSON arrays."""
-        return asdict(self)
+        """Plain-data form, equal to ``dataclasses.asdict`` without its deep copy:
+        the other fields are immutable already.  Tuples serialize as JSON arrays."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["per_relay"] = tuple({f.name: getattr(r, f.name) for f in fields(r)}
+                                 for r in self.per_relay)
+        return out
 
 
 def policy_auth_probs(

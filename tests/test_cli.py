@@ -11,6 +11,7 @@ from scipy import stats as scipy_stats
 from relaygame import cli, report
 from relaygame.channel import ber_end_to_end, packet_success
 from relaygame.cli import OVERRIDE_KEYS, main
+from relaygame.errors import RelayGameError
 from relaygame.report import (
     build_outage_crosscheck,
     build_solve_report,
@@ -394,6 +395,62 @@ def test_outage_crosscheck_of_an_impossible_outage_is_strict_json(military, monk
 
     parsed = json.loads(bundle_to_json(bundle), parse_constant=no_constant)
     assert parsed["rows"][0]["z"] is None and parsed["rows"][0]["within_band"] is False
+
+
+def test_non_finite_bundle_value_is_an_error_naming_its_path():
+    bundle = {"report": "x", "rows": [{"z": 1.0}, {"z": math.inf}], "sigma": {"b": [math.nan]}}
+    with pytest.raises(RelayGameError, match=r"^rows\[1\]\.z: inf has no strict JSON form$"):
+        bundle_to_json(bundle)
+    bundle["a"] = (0.5, {"c": -math.inf})      # sorted first, as canonical JSON writes it
+    with pytest.raises(RelayGameError, match=r"^a\[1\]\.c: -inf has no"):
+        bundle_to_json(bundle)
+    del bundle["a"], bundle["rows"]
+    with pytest.raises(RelayGameError, match=r"^sigma\.b\[0\]: nan has no"):
+        bundle_to_json(bundle)
+
+
+def test_non_finite_bundle_value_exits_four_and_writes_nothing(capsys, tmp_path, monkeypatch):
+    real = cli.build_solve_report
+    monkeypatch.setattr(cli, "build_solve_report",
+                        lambda sc, diagnostics: {**real(sc, diagnostics=diagnostics),
+                                                 "lambda_source": math.nan})
+    out_file = tmp_path / "solve.json"
+    code, _, err = run_cli(capsys, "solve", "--scenario", "military", "--out", str(out_file))
+    assert code == 4
+    assert err == "error: lambda_source: nan has no strict JSON form\n"
+    assert not out_file.exists()
+
+
+def test_cli_keeps_no_state_between_calls(capsys, tmp_path):
+    """Repeated calls in one process give the same bytes, whatever ran between
+    them; the parser is the one thing built once."""
+    assert cli.build_parser() is cli.build_parser()
+    out_file = tmp_path / "bundle.json"
+    runs = [
+        ["simulate", "--scenario", "military", "--auth-policy", "--seed", "17",
+         "--set", "sim.episodes=20000", "--out", str(out_file)],
+        ["outage-check", "--scenario", "commercial", "--seed", "5", "--trials", "20000",
+         "--out", str(out_file)],
+    ]
+
+    def each_run():
+        results = []
+        for argv in runs:
+            results.append((*run_cli(capsys, *argv), out_file.read_bytes()))
+            out_file.unlink()
+        return results
+
+    first = each_run()
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate"])              # argparse: --scenario is required
+    assert exc.value.code == 2
+    assert run_cli(capsys, "simulate", "--scenario", "military", "--set", "bogus=1")[0] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    assert each_run() == first
+    assert [code for code, *_ in first] == [0, 0]
 
 
 def test_unexpected_error_names_its_type_and_origin(capsys, monkeypatch):

@@ -53,6 +53,19 @@ def test_presets_resolve_uniquely():
         load_scenario("filitary")
 
 
+@pytest.mark.parametrize("name", ["military", "commercial"])
+def test_load_scenario_builds_the_named_preset(name):
+    assert scenario_hash(load_scenario(name)) == scenario_hash(presets()[name])
+
+
+def test_presets_are_built_afresh_on_each_call():
+    first, second = presets(), presets()
+    assert list(first) == list(second)
+    for name in first:
+        assert first[name] is not second[name]
+        assert scenario_hash(first[name]) == scenario_hash(second[name])
+
+
 def test_round_trip(tmp_path, military):
     path = tmp_path / "scenario.json"
     save_scenario(military, path)

@@ -1,5 +1,6 @@
 """Monte Carlo simulator: sampling, compromise accounting, determinism."""
 
+import dataclasses
 import math
 import tracemalloc
 from dataclasses import replace
@@ -467,3 +468,22 @@ def test_memory_stays_bounded_for_large_runs(military, military_solution):
 def test_sim_config_rejects_uncountable_sizes():
     with pytest.raises(ValidationError, match="2\\^63"):
         SimConfig(episodes=2 ** 40, packets_per_episode=2 ** 23)
+
+
+@pytest.mark.parametrize("changes", [
+    {},
+    {"refined_detection": True},
+    {"attacker_mode": AttackerMode.UNIFORM},
+    {"source_mode": SourceMode.BEST_UTILITY},
+], ids=["default", "refined", "uniform-attacker", "best-utility"])
+def test_report_to_dict_equals_asdict(military, military_solution, changes):
+    """The shallow walk of ``to_dict`` against ``dataclasses.asdict``, its
+    recursive deep copy: equal values, the same key order at both levels."""
+    sim = SimConfig(episodes=20_000, packets_per_episode=3, seed=11, auth_prob=0.4, **changes)
+    report = run_simulation(military, sim, military_solution)
+    fast, oracle = report.to_dict(), dataclasses.asdict(report)
+    assert fast == oracle
+    assert list(fast) == list(oracle)
+    assert isinstance(fast["per_relay"], tuple)
+    assert [list(r) for r in fast["per_relay"]] == [list(r) for r in oracle["per_relay"]]
+    assert canonical_json(fast) == canonical_json(oracle)
