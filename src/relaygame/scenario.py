@@ -420,10 +420,8 @@ def canonical_json(data: dict) -> str:
     try:
         return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
     except ValueError:
-        found = _nonfinite(data, "")
-        if found is None:
-            raise
-        raise RelayGameError(f"{found[0]}: {found[1]} has no strict JSON form") from None
+        path, value = _nonfinite(data, "")
+        raise RelayGameError(f"{path}: {value} has no strict JSON form") from None
 
 
 def _nonfinite(node, path: str) -> tuple[str, float] | None:
