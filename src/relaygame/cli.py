@@ -222,7 +222,8 @@ def cmd_outage_check(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Built on first use and shared by later calls; parsing leaves it unchanged."""
+    """Built on first use and shared by later calls; parsing leaves it unchanged.
+    Only repeated `main` calls in one process gain; a one-command process builds it once."""
     parser = argparse.ArgumentParser(
         prog="relaygame",
         description="Relay-selection security game: equilibrium, QoS models, simulation.",
