@@ -149,10 +149,11 @@ def binomial_stderr(p_hat: float, trials: int) -> float:
 
 
 def outage_sr_link(target_rate: float, snr_sr: float) -> float:
-    """First-hop outage probability of the source->relay link."""
+    """First-hop outage probability of the source->relay link, 1 - exp(-t) taken
+    as -expm1(-t) so that it keeps full relative precision at high SNR."""
     check_range("target_rate", target_rate, 0.0, MAX_TARGET_RATE, hi_open=True)
     check_range("snr_sr", snr_sr, 0.0, lo_open=True)
-    return 1.0 - math.exp(-outage_thresholds(target_rate)[1] / snr_sr)
+    return -math.expm1(-outage_thresholds(target_rate)[1] / snr_sr)
 
 
 def ber_direct(snr_sd: float) -> float:

@@ -26,7 +26,7 @@ COMMANDS = {
 
 PINNED = {
     ("military", "solve"):
-        "7775027d2180b2e9b3353f4bc34e9cc5a382127c5c8fb25204424fcf29aa4dc8",
+        "925e06816586b723951a053ad9dad3e5286024d29bf0f4525d79bf0e51db62bd",
     ("military", "sweep-n-general"):
         "30715d72f841cec761948cee5b724a8fedb0feb55bf52f8d425776435b16f7e8",
     ("military", "sweep-n-sr"):
@@ -38,13 +38,13 @@ PINNED = {
     ("military", "sweep-auth-simulate"):
         "8a745689a8b8bf6513e05909393f69197edb9b564c7cb450675a476353e6858c",
     ("military", "simulate"):
-        "b1783243c1b3d0f21490d6f64cf578b0c1552935a4b470f0a6826e16121364b4",
+        "19a12a48ebcc805d4b830f29eedbe6106b45b300fe03b016b932098d7975f9c7",
     ("military", "simulate-auth-policy"):
-        "14eb0c5b87da5ac86c69cbc70b2492da133f3c3fb409dbfaab4eb3bc0e84de05",
+        "664bc5313c9833edb5059e511862d457e68b9fce1d136b2aca654e1f45a33474",
     ("military", "outage-check"):
         "71d18355c5292d7a555cd092b738f17e1a5e5a4fa4083fcb5d039c4d6d4039f1",
     ("commercial", "solve"):
-        "dad96d4b7b75ad511b4a5c5b79affe194eff591fb8a90db5f62fbee1474300f9",
+        "db3facdf5d4ecb40d34cf6ec0ff357a97c7adadece2791a076ed51419c3e2f0e",
     ("commercial", "sweep-n-general"):
         "c89303ba08acdfb0e167cc8a853cf8bc645c52f2bcd0a0f4a2893e80a667ef51",
     ("commercial", "sweep-n-sr"):
@@ -56,9 +56,9 @@ PINNED = {
     ("commercial", "sweep-auth-simulate"):
         "84eacaf7b69579dd2896b06b2731ff3440c9ad93d6f4dcff393dd4508bb19b1f",
     ("commercial", "simulate"):
-        "cf897a58028f3f7708a99e78496759b6a3b3f5743e1a776c726e5ca9b81c351c",
+        "112fab7a7799f96d40fbdc5b81374166c54a3814160796c02b32bf305b255924",
     ("commercial", "simulate-auth-policy"):
-        "4bf78f5bdf9fdf3f5889a6c22bb7d7e2f6d10280de6059c6bcc25972536f868d",
+        "190eb6ac2851843bafc910a0a2ed00a364b286b11bab983b3a86c2ff4d8ae77f",
     ("commercial", "outage-check"):
         "c69a51f45893d9a212a5b87318d22a7ef5bb45fdea3a6cd0f4991a4c3115ca59",
 }

@@ -178,6 +178,15 @@ def test_outage_sr_examples():
         outage_sr_link(1.0, 0.0)
 
 
+@pytest.mark.parametrize("snr", [1e4, 1e8, 1e12])
+def test_outage_sr_link_matches_mpmath_at_high_snr(snr):
+    # At rate 1 the relay threshold 2^2 - 1 = 3 is exact, so the only rounding
+    # left is in 1 - exp(-3 / snr), which is tiny here.
+    with mpmath.workdps(50):
+        exact = -mpmath.expm1(-mpmath.mpf(3) / mpmath.mpf(snr))
+        assert abs(outage_sr_link(1.0, snr) - exact) <= 1e-15 * exact
+
+
 @given(st.floats(0.01, 1e6), st.floats(0.01, 1e6), st.floats(0.0, 8.0))
 @settings(max_examples=100, deadline=None)
 def test_outage_sr_monotonicity(snr_low, delta, rate):

@@ -27,8 +27,8 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 20_161_011
 SCENARIOS = 100
 
-PINNED = "f8cccd148e4f31267e1a16a9af7591a8352579888fbe32eaabcb9616f97d3755"
-PINNED_SIMULATED = "b9d95433bf12d13a63490822749cca670826062738c8831232cc54fc682a6254"
+PINNED = "e83ef12f29816036770eecb3ac28b126eeba4d8861d5bbdbc6a26bf4ab6f783d"
+PINNED_SIMULATED = "d89d6d90ff4e59d50db4305636c998f0978bfee018dd02e462069397ffa59481"
 
 EPISODES = 2_000
 TRIALS = 1_000
