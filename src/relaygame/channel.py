@@ -4,9 +4,11 @@ Closed-form outage and BER expressions plus a seeded Monte Carlo estimator of
 the cooperative outage event.  All SNRs here are linear ratios; dB conversion
 happens only at the scenario-loading boundary.
 
-The estimator draws binomial counts of the failed direct paths and of those
-whose first hop failed too, then fading only for the rest, so its draws grow
-with the failures rather than the episodes.
+The estimator draws binomial counts of the failed direct paths, of those whose
+first hop failed too, and, split on the relay-destination gain, of the rest
+that are sure outages and of those in the band where the sum of the two gains
+decides.  It draws fading only for that band, so its draws grow with the band,
+not with the episodes.
 
 Monte Carlo fading convention: squared channel gains are exponentially
 distributed with mean dist^-pathloss_exp (unit mean for the source-destination
@@ -104,30 +106,43 @@ def outage_closed_form(link: LinkModel) -> float:
 def count_outages(rng: np.random.Generator, link: LinkModel, trials: int) -> int:
     """Outage events among ``trials`` fading realisations of ``link`` (module
     convention), as conditional counts of the selection decode-and-forward
-    event (Laneman, Tse and Wornell, 2004), drawn in this order: the failed
-    direct paths M ~ Bin(trials, p_d); those whose first hop failed too, K ~
-    Bin(M, p_1), each an outage; then per OUTAGE_CHUNK block of the other M - K,
-    direct gains -log1p(-u * p_d) (Exp(1) truncated to failure, by inversion)
-    and relay-destination gains, whose combined path decides.  No closed form.
+    event (Laneman, Tse and Wornell, 2004).
+
+    With a = t_direct / snr and T = t_relay / snr, a failed direct path has
+    g_sd < a, and the relay path then fails when g_sd + g_rd < T.  Drawn in this
+    order: the failed direct paths M ~ Bin(trials, p_d); those whose first hop
+    failed too, K ~ Bin(M, p_1), each an outage; of the other M - K, those with
+    g_rd < T - a, a sure outage whatever g_sd, ~ Bin(M - K, P(g_rd < T - a));
+    of the rest, where g_rd >= T - a, the band g_rd < T ~ Bin(rest, P(g_rd < a))
+    (exponentials are memoryless), while g_rd >= T is a sure success.  Only the
+    band is drawn, per OUTAGE_CHUNK block: direct gains -log1p(-u * p_d) (Exp(1)
+    truncated to failure, by inversion), then excesses e = g_rd - (T - a)
+    truncated to [0, a) likewise; an outage when g_sd + e < a.  Every
+    probability is one exponential CDF; no closed form of the joint event.
     """
     t_direct, t_relay = outage_thresholds(link.target_rate)
     snr = link.snr_avg
+    a = t_direct / snr
     x = link.dist_rd ** link.pathloss_exp       # 1 / mean g_rd
-    p_direct = -math.expm1(-t_direct / snr)
+    p_direct = -math.expm1(-a)
     failed = int(rng.binomial(trials, p_direct))
     # A product with dist_sr^pathloss_exp, which may overflow to inf: a sure failure.
     p_first_hop = -math.expm1(-t_relay * link.dist_sr ** link.pathloss_exp / snr)
     hits = int(rng.binomial(failed, p_first_hop))
-    rest = failed - hits
+    # T - a from the thresholds' difference, so that it is never inf - inf.
+    sure = int(rng.binomial(failed - hits, -math.expm1(-x * ((t_relay - t_direct) / snr))))
+    hits += sure
+    p_band = -math.expm1(-x * a)
+    band = int(rng.binomial(failed - hits, p_band))
     # Buffers per call, not per block, which the allocator would trim and re-fault.
-    block = np.empty((2, min(rest, OUTAGE_CHUNK)))
-    for start in range(0, rest, OUTAGE_CHUNK):
-        a, b = block[:, :min(OUTAGE_CHUNK, rest - start)]
-        np.log1p(np.multiply(rng.random(out=a), -p_direct, out=a), out=a)     # -g_sd
-        np.divide(rng.standard_exponential(out=b), x, out=b)                  # g_rd
-        np.multiply(np.subtract(b, a, out=a), snr, out=a)     # (g_sd + g_rd) * snr
-        # The flags go into b's bytes, which are read no more.
-        hits += int(np.count_nonzero(np.less(a, t_relay, out=b.view(np.bool_)[:a.size])))
+    block = np.empty((2, min(band, OUTAGE_CHUNK)))
+    for start in range(0, band, OUTAGE_CHUNK):
+        g, e = block[:, :min(OUTAGE_CHUNK, band - start)]
+        np.log1p(np.multiply(rng.random(out=g), -p_direct, out=g), out=g)     # -g_sd
+        np.log1p(np.multiply(rng.random(out=e), -p_band, out=e), out=e)       # -x * e
+        np.add(g, np.divide(e, x, out=e), out=g)                              # -(g_sd + e)
+        # The flags go into e's bytes, which are read no more.
+        hits += int(np.count_nonzero(np.greater(g, -a, out=e.view(np.bool_)[:g.size])))
     return hits
 
 

@@ -258,6 +258,9 @@ def build_outage_crosscheck(scenario: Scenario, trials: int = 1_000_000, seed: i
     Diagnostic, never failing the run: a row is flagged when the Chernoff bound
     exp(-trials KL(mc || cf)) on its count's tail falls below the flag level, as
     it does for correct code at most that often per side, at any trial count.
+    Relay ``idx`` is drawn from ``child_seed(seed, idx)``, so relays at one index
+    share a stream across scenarios at the same seed, and their flags are
+    correlated.
     """
     rows = []
     for idx, (pr, ln) in enumerate(zip(scenario.profiles, scenario.links)):

@@ -19,12 +19,13 @@ packets, p_a), the other authenticated packets Bin((n_j - h_j) * packets,
 p_a), compromised = h_j * packets - a_j (refined mode adds Bin(a_j, 1 -
 detect_rate)); errored packets Bin(n_j * packets, 1 - P_c).  Then the outage
 stage, relay by relay: the outage count among n_j fading realisations of the
-relay's link (channel.count_outages), whose draws grow with the direct-path
-failures, not n_j, so the simulated rate stays an independent check of the
-closed form.  The outage stage comes last, so no other counter depends on it,
-and the compromise curve runs the count stage alone.  Memory is O(K^2 +
-OUTAGE_CHUNK) whatever the episode count, and equal configs give
-byte-identical reports.
+relay's link (channel.count_outages): four binomial counts, then fading only
+for the episodes whose direct, first-hop and relay-destination gains leave
+the outage to the sum of two gains, so its draws grow with that band, not
+n_j, and the simulated rate stays an independent check of the closed form.
+The outage stage comes last, so no other counter depends on it, and the
+compromise curve runs the count stage alone.  Memory is O(K^2 + OUTAGE_CHUNK)
+whatever the episode count, and equal configs give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .throughput import (
     throughput_for_mode,
 )
 
-RNG_ALGORITHM = "numpy-pcg64/counts-3"
+RNG_ALGORITHM = "numpy-pcg64/counts-4"
 
 
 class AttackerMode(enum.Enum):

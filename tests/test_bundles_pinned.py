@@ -26,41 +26,41 @@ COMMANDS = {
 
 PINNED = {
     ("military", "solve"):
-        "925e06816586b723951a053ad9dad3e5286024d29bf0f4525d79bf0e51db62bd",
+        "f1fa80187fcd176d83c1f2ab741e5c912b015eb88070abb20c893412a2f009b3",
     ("military", "sweep-n-general"):
-        "30715d72f841cec761948cee5b724a8fedb0feb55bf52f8d425776435b16f7e8",
+        "6cd0ba4dc61ea49b7e713aa1ccc4f5c923cec7e5432953ffdd89e16060f242bb",
     ("military", "sweep-n-sr"):
-        "e1fa59f4d7cc81c323cddb0c369842e49eb4724c853f140849b44bb5193acf78",
+        "e9c397e236e538a5cfa80fd7566d044abdfa5f066130514ce0d120a8b569718b",
     ("military", "sweep-n-gbn"):
-        "55f4b1bc4a86f9c24280d20df53ccc521648aa20e402ee9be2dc3ed451b89caa",
+        "3d1de52fc9a32e1d65ca88897c8129687cec06ba6346165b6561a2237ef8a4b2",
     ("military", "sweep-auth"):
-        "28821c05ce4e2a0e939fcc9248e7451ec1ac8cd3c165ea582af69dca16792bb6",
+        "6cbd818b346d1aab33e170a1a384051d33f81ea67631a16c963c6673957abdb8",
     ("military", "sweep-auth-simulate"):
-        "8a745689a8b8bf6513e05909393f69197edb9b564c7cb450675a476353e6858c",
+        "39e7178686d0c60ba79d8f853c989c2517a01c529ac73235840e84ead79edca6",
     ("military", "simulate"):
-        "19a12a48ebcc805d4b830f29eedbe6106b45b300fe03b016b932098d7975f9c7",
+        "cd1b37e5198fab42fe6aaeb7a123a73de36dab3069666814e95212b17921ac26",
     ("military", "simulate-auth-policy"):
-        "664bc5313c9833edb5059e511862d457e68b9fce1d136b2aca654e1f45a33474",
+        "485d3a700d20fef2a61d181ac2156b321946310fc3d2f8a0a70598ff9d173f9b",
     ("military", "outage-check"):
-        "71d18355c5292d7a555cd092b738f17e1a5e5a4fa4083fcb5d039c4d6d4039f1",
+        "63fb6815fa814839f78f70eaaad533203202c88c646c3b1175a74aa7a73404bd",
     ("commercial", "solve"):
-        "db3facdf5d4ecb40d34cf6ec0ff357a97c7adadece2791a076ed51419c3e2f0e",
+        "f164759a8170ccee8ed0d012688d8752ab19303a3f0b96b7a156495494ce4913",
     ("commercial", "sweep-n-general"):
-        "c89303ba08acdfb0e167cc8a853cf8bc645c52f2bcd0a0f4a2893e80a667ef51",
+        "fffcb4efd87d508712c38b9fa4f4549a1f0bb42143811bbe4f323ac03ed996a8",
     ("commercial", "sweep-n-sr"):
-        "e4103af6c4be09ca12b77ee8d22e4d479db6fce8dc67de6141fae78d2f29cd5c",
+        "8b44f5f5d250b5aea86290a1eb0842e02cb8ef80ece9460fc9b198c4f14735a8",
     ("commercial", "sweep-n-gbn"):
-        "31e10c3efc97eb68fba2ba24b116d266fdbe220e27fdc11065031c5888ad51d8",
+        "0276e9d38614a385b67b36a85089bfe065e8f89bd3792c6e24cdbb7b3d16e51a",
     ("commercial", "sweep-auth"):
-        "4cd9e74337589ce9c394028679cac8b6841391ac51a51f8a6d5766b32b43fead",
+        "ae82bf7b22eb9239ac932d0711ec00287e7b26fe3b8d6d143a113cc05ff6c44e",
     ("commercial", "sweep-auth-simulate"):
-        "84eacaf7b69579dd2896b06b2731ff3440c9ad93d6f4dcff393dd4508bb19b1f",
+        "a0539529257b33135e50eefa62fb8f6fdd83fd01c63166b8c1e3c26ca20b4892",
     ("commercial", "simulate"):
-        "112fab7a7799f96d40fbdc5b81374166c54a3814160796c02b32bf305b255924",
+        "1811c375cd1c50ffc576ada63765b26cbe222912a044257b3953b77415139561",
     ("commercial", "simulate-auth-policy"):
-        "190eb6ac2851843bafc910a0a2ed00a364b286b11bab983b3a86c2ff4d8ae77f",
+        "0ad5c9cb8affbcf793906b3467d551c910973d1f2dc79b4a99293628f3371a28",
     ("commercial", "outage-check"):
-        "c69a51f45893d9a212a5b87318d22a7ef5bb45fdea3a6cd0f4991a4c3115ca59",
+        "3582bf251f8d636316ad4411100a1c045cad0cb6c962e0ec2c1cbbe630a462d1",
 }
 
 

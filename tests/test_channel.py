@@ -345,35 +345,49 @@ def test_outage_monte_carlo_across_direct_failure_rates(name):
 
 def count_outages_in_documented_order(rng, lm, trials):
     """The documented draw order, written out episode by episode: the count
-    of failed direct paths, the count of those whose first hop failed too,
-    then per block of the rest a uniform for each truncated direct gain and
-    an exponential for each relay-destination gain."""
+    of failed direct paths, the count of those whose first hop failed too, the
+    count of the rest whose relay-destination gain is below T - a (a sure
+    outage), the count of the rest whose gain lies in the band [T - a, T), then
+    per block of the band a uniform for each truncated direct gain and one for
+    each truncated excess of the relay-destination gain over T - a."""
     t_direct = 2.0 ** lm.target_rate - 1.0
     t_relay = 2.0 ** (2.0 * lm.target_rate) - 1.0
     gamma = lm.snr_avg
-    p_direct = -math.expm1(-t_direct / gamma)
+    a = t_direct / gamma
+    x = lm.dist_rd ** lm.pathloss_exp
+    p_direct = -math.expm1(-a)
     failed = rng.binomial(trials, p_direct)
     hits = rng.binomial(failed, -math.expm1(-t_relay * lm.dist_sr ** lm.pathloss_exp / gamma))
-    rest = failed - hits
-    for start in range(0, rest, OUTAGE_CHUNK):
-        size = min(OUTAGE_CHUNK, rest - start)
-        uniforms = rng.random(size).tolist()
-        exponentials = rng.standard_exponential(size).tolist()
-        for u, e in zip(uniforms, exponentials):
+    hits += rng.binomial(failed - hits, -math.expm1(-x * ((t_relay - t_direct) / gamma)))
+    p_band = -math.expm1(-x * a)
+    band = rng.binomial(failed - hits, p_band)
+    for start in range(0, band, OUTAGE_CHUNK):
+        size = min(OUTAGE_CHUNK, band - start)
+        direct_uniforms = rng.random(size).tolist()
+        excess_uniforms = rng.random(size).tolist()
+        for u, v in zip(direct_uniforms, excess_uniforms):
             g_sd = -math.log1p(-u * p_direct)
-            g_rd = e / lm.dist_rd ** lm.pathloss_exp
-            hits += (g_sd + g_rd) * gamma < t_relay
+            excess = -math.log1p(-v * p_band) / x
+            hits += g_sd + excess < a
     return hits
 
 
-@pytest.mark.parametrize("p_direct", [0.01, 0.5, 0.85, 0.95, 1.0])
+# Keyed by the direct path's failure rate, as the test ids read.
+DOCUMENTED_ORDER_LINKS = {
+    **{str(p): link_failing_direct(p, 1.0, d_sr=0.3, d_rd=0.7) for p in (0.01, 0.5, 0.85, 0.95)},
+    "1.0": link(rate=511.99, snr=1.0),
+    "0.95-wide-band": link_failing_direct(0.95, 0.02, d_sr=0.03, d_rd=0.48),
+}
+
+
+@pytest.mark.parametrize("p_direct", list(DOCUMENTED_ORDER_LINKS))
 def test_count_outages_draws_in_documented_order(p_direct):
-    # At 0.5 the episodes past the two binomial counts fill two full blocks
-    # and a partial one, at 0.95 one and a partial one; at 1.0 every first
-    # hop fails too, so no block is drawn.
-    lm = (link(rate=511.99, snr=1.0) if p_direct == 1.0
-          else link_failing_direct(p_direct, 1.0, d_sr=0.3, d_rd=0.7))
-    trials = 200_003
+    # The band holds about 20, 27k, 7k and 220 episodes at the first four
+    # keys; at 1.0 every first hop fails, so no block is drawn; the wide band
+    # (rate 0.08, x * a near ln 2) holds about 91k: two full blocks and a
+    # partial one.
+    lm = DOCUMENTED_ORDER_LINKS[p_direct]
+    trials = 400_003
     rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
     assert count_outages(rng_a, lm, trials) == count_outages_in_documented_order(
         rng_b, lm, trials)
@@ -385,13 +399,17 @@ def test_count_outages_draws_in_documented_order(p_direct):
 # against the closed form over pinned seeds like DIRECT_FAILURE_GEOMETRIES:
 # first hops that almost never fail (nearly every failed direct path reaches
 # the block stage), direct paths that almost always fail, the closed form's
-# dist_rd^pathloss_exp = 1 branch, and a rate next to MAX_TARGET_RATE, where
-# every first hop fails and no block is drawn.
+# dist_rd^pathloss_exp = 1 branch, a rate next to MAX_TARGET_RATE, where
+# every first hop fails and no block is drawn, a far relay-destination hop,
+# where 99.3 % of the rest are sure outages, and a near one, where 0.36 % of
+# the rest that are no sure outage fall in the band.
 DECOMPOSITION_GEOMETRIES = {
     "p_first_hop->0": (link_failing_direct(0.3, 10.0, d_sr=0.01, d_rd=1.5), 20_000),
     "p_direct->1": (link_failing_direct(1.0 - 1e-6, 1.0, d_sr=0.07, d_rd=0.07), 20_000),
     "dist_rd^alpha=1": (link_failing_direct(0.4, 2.0, alpha=3.0, d_sr=0.8, d_rd=1.0), 20_000),
     "rate=511.5": (link(rate=511.5, snr=1e154), 20_000),
+    "p_sure->1": (link_failing_direct(0.3, 10.0, d_sr=0.3, d_rd=1.75), 20_000),
+    "p_band->0": (link_failing_direct(0.3, 10.0, d_sr=0.3, d_rd=0.1), 20_000),
 }
 
 
@@ -409,16 +427,17 @@ def test_count_outages_across_decomposition_edges(name):
 
 
 def test_count_outages_with_no_failed_direct_path():
-    # p_d = 1 - exp(-1e-12): M = 0 at every seed, and only the two binomial
+    # p_d = 1 - exp(-1e-12): M = 0 at every seed, and only the four binomial
     # counts are drawn.
     lm = link(rate=math.log2(1.0 + 1e-12), snr=1.0)
-    p_direct = -math.expm1(-(2.0 ** lm.target_rate - 1.0))
-    p_first_hop = -math.expm1(-(2.0 ** (2.0 * lm.target_rate) - 1.0))
+    t_direct, t_relay = 2.0 ** lm.target_rate - 1.0, 2.0 ** (2.0 * lm.target_rate) - 1.0
     for seed in range(50):
         rng, after = np.random.default_rng(seed), np.random.default_rng(seed)
         assert count_outages(rng, lm, 1_000_000) == 0
-        after.binomial(1_000_000, p_direct)
-        after.binomial(0, p_first_hop)
+        after.binomial(1_000_000, -math.expm1(-t_direct))
+        after.binomial(0, -math.expm1(-t_relay))
+        after.binomial(0, -math.expm1(-(t_relay - t_direct)))
+        after.binomial(0, -math.expm1(-t_direct))
         assert rng.random() == after.random()
 
 

