@@ -129,9 +129,8 @@ def count_outages(rng: np.random.Generator, link: LinkModel, trials: int) -> int
     # A product with dist_sr^pathloss_exp, which may overflow to inf: a sure failure.
     p_first_hop = -math.expm1(-t_relay * link.dist_sr ** link.pathloss_exp / snr)
     hits = int(rng.binomial(failed, p_first_hop))
-    # T - a from the thresholds' difference, so that it is never inf - inf.
-    sure = int(rng.binomial(failed - hits, -math.expm1(-x * ((t_relay - t_direct) / snr))))
-    hits += sure
+    # The sure outages; T - a from the thresholds' difference, never inf - inf.
+    hits += int(rng.binomial(failed - hits, -math.expm1(-x * ((t_relay - t_direct) / snr))))
     p_band = -math.expm1(-x * a)
     band = int(rng.binomial(failed - hits, p_band))
     # Buffers per call, not per block, which the allocator would trim and re-fault.
