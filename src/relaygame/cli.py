@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 validation error, 3 infeasible equilibrium or
 degenerate game, 4 runtime failure.  Reports print as plain tables on stdout;
 --out writes the machine-readable bundle (JSON, or the main table as CSV with
---format csv).  Relative --out paths are resolved under $RELAYGAME_OUT_DIR
-when that variable is set.
+--format csv); an existing file is rewritten in place and cut to length, so it
+keeps its inode, mode and links.  Relative --out paths are resolved under
+$RELAYGAME_OUT_DIR when that variable is set.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ from .scenario import (
     SECTIONS,
     field_names,
     load_scenario,
+    load_scenario_dict,
     presets,
     scenario_from_dict,
-    scenario_to_dict,
+    write_file,
 )
 from .throughput import ArqMode
 
@@ -83,7 +85,14 @@ def print_table(rows: list[dict], stream=None) -> None:
         stream.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
 
 
+def _object(node, path: str) -> dict:
+    if not isinstance(node, dict):
+        raise ValidationError(f"{path}: expected an object, got {type(node).__name__}")
+    return node
+
+
 def _apply_overrides(scenario_dict: dict, overrides: list[str]) -> dict:
+    _object(scenario_dict, "scenario")
     for item in overrides:
         if "=" not in item:
             raise ValidationError(f"override {item!r} is not KEY=VALUE")
@@ -96,25 +105,27 @@ def _apply_overrides(scenario_dict: dict, overrides: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        parts = key.split(".")
+        *sections, leaf = key.split(".")
         node = scenario_dict
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-        node[parts[-1]] = value
+        for part in sections:       # a null section counts as absent
+            if node.get(part) is None:
+                node[part] = {}
+            node = _object(node[part], f"scenario.{part}")
+        node[leaf] = value
     return scenario_dict
 
 
 def _load(args) -> "Scenario":
-    scenario = load_scenario(args.scenario)
     overrides = list(getattr(args, "set", None) or [])
     # outage-check takes --seed as its own Monte Carlo seed, not the scenario's.
     seed = args.seed if args.command == "simulate" or getattr(args, "simulate", False) else None
-    if overrides or seed is not None:
-        data = _apply_overrides(scenario_to_dict(scenario), overrides)
-        if seed is not None and "sim" in data:      # a seed alone makes no sim section
-            data["sim"]["seed"] = seed
-        scenario = scenario_from_dict(data)
-    return scenario
+    if not overrides and seed is None:
+        return load_scenario(args.scenario)
+    # One Scenario per call: the overrides edit the preset's or file's dict form.
+    data = _apply_overrides(load_scenario_dict(args.scenario), overrides)
+    if seed is not None and isinstance(data.get("sim"), dict):  # a seed alone makes no sim section
+        data["sim"]["seed"] = seed
+    return scenario_from_dict(data)
 
 
 def _emit(bundle: dict, args) -> None:
@@ -125,7 +136,7 @@ def _emit(bundle: dict, args) -> None:
             path = Path(out_dir) / path
         path.parent.mkdir(parents=True, exist_ok=True)
         text = bundle_to_csv(bundle) if args.format == "csv" else bundle_to_json(bundle)
-        path.write_text(text)
+        write_file(path, text)
         print(f"wrote {path}")
 
 

@@ -1,14 +1,18 @@
 """CLI surface: subcommands, flags, exit codes, emitted files."""
 
+import hashlib
 import json
 import math
+import os
+import stat
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from relaygame import cli, report
+from relaygame import cli, report, scenario
 from relaygame.channel import ber_end_to_end, packet_success
 from relaygame.cli import OVERRIDE_KEYS, main
 from relaygame.errors import RelayGameError
@@ -20,6 +24,7 @@ from relaygame.report import (
     bundle_to_json,
 )
 from relaygame.throughput import ArqMode, optimize_messages, throughput_for_mode, throughput_sr
+from test_bundles_pinned import PINNED
 
 
 def run_cli(capsys, *argv):
@@ -213,6 +218,50 @@ def test_simulate_csv_output(capsys, tmp_path):
     assert header.startswith("relay_id,")
 
 
+def _solve_into(capsys, out) -> str:
+    """Digest of the bundle ``solve --diagnostics`` writes over ``out``."""
+    code, stdout, _ = run_cli(capsys, "solve", "--scenario", "military", "--diagnostics",
+                              "--out", str(out))
+    assert code == 0 and stdout.endswith(f"wrote {out}\n")
+    return hashlib.sha256(Path(out).read_bytes()).hexdigest()
+
+
+def test_out_rewrites_a_longer_file_in_place(capsys, tmp_path):
+    out, twin = tmp_path / "solve.json", tmp_path / "hard-link.json"
+    out.write_text("x" * 100_000)
+    out.chmod(0o640)
+    os.link(out, twin)
+    before = out.stat()
+    assert _solve_into(capsys, out) == PINNED["military", "solve"]
+    after = out.stat()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+    assert twin.read_bytes() == out.read_bytes()
+
+
+def test_out_through_a_symlink_writes_its_target(capsys, tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("x" * 100_000)
+    link.symlink_to(target)
+    assert _solve_into(capsys, link) == PINNED["military", "solve"]
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == PINNED["military", "solve"]
+
+
+def test_out_to_a_character_device_is_not_truncated(capsys):
+    code, _, err = run_cli(capsys, "solve", "--scenario", "military", "--out", os.devnull)
+    assert (code, err) == (0, "")
+
+
+def test_csv_over_a_longer_file_leaves_only_the_csv(capsys, tmp_path):
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    reused.write_text("x" * 100_000)
+    for out in (fresh, reused):
+        assert run_cli(capsys, "sweep-n", "--scenario", "military", "--n-max", "8",
+                       "--format", "csv", "--out", str(out))[0] == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert fresh.read_text().startswith("n,throughput,")
+
+
 def test_out_dir_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("RELAYGAME_OUT_DIR", str(tmp_path))
     code, _, _ = run_cli(capsys, "solve", "--scenario", "military",
@@ -287,6 +336,25 @@ def test_seed_without_a_sim_section_reports_it_missing(capsys, tmp_path):
                                "--scenario", str(path), "--out", str(out))
         assert code == 0, err
         assert json.loads(out.read_text())["provenance"]["seed"] == 3
+
+
+@pytest.mark.parametrize("edit, argv, message", [
+    (lambda d: d.update(sim=None), ["--seed", "3"], "scenario.sim: missing; simulating"),
+    (lambda d: d.update(sim=None), ["--set", "sim.seed=3"], "scenario.sim.episodes: missing"),
+    (lambda d: d.update(sim=5), ["--seed", "3"], "scenario.sim: expected an object, got int"),
+    (lambda d: d.update(game="x"), ["--set", "game.detect_rate=0.5"],
+     "scenario.game: expected an object, got str"),
+    (lambda d: [d], ["--seed", "3"], "scenario: expected an object, got list"),
+])
+def test_overrides_on_a_malformed_file_exit_two(capsys, tmp_path, edit, argv, message):
+    # The overrides edit the file's own JSON, before anything validates it.
+    data = single_relay_scenario()
+    data = edit(data) or data
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(path), *argv)
+    assert code == 2
+    assert err.startswith(f"error: {message}")
 
 
 def test_seed_leaves_the_scenario_alone_where_nothing_is_simulated(capsys, tmp_path):
@@ -408,16 +476,23 @@ def test_non_finite_bundle_value_is_an_error_naming_its_path():
         bundle_to_json(bundle)
 
 
-def test_non_finite_bundle_value_exits_four_and_writes_nothing(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("existing", [None, b"old bundle\n"])
+def test_non_finite_bundle_value_exits_four_and_writes_nothing(capsys, tmp_path, monkeypatch,
+                                                               existing):
     real = cli.build_solve_report
     monkeypatch.setattr(cli, "build_solve_report",
                         lambda sc, diagnostics: {**real(sc, diagnostics=diagnostics),
                                                  "lambda_source": math.nan})
     out_file = tmp_path / "solve.json"
+    if existing is not None:
+        out_file.write_bytes(existing)
     code, _, err = run_cli(capsys, "solve", "--scenario", "military", "--out", str(out_file))
     assert code == 4
     assert err == "error: lambda_source: nan has no strict JSON form\n"
-    assert not out_file.exists()
+    if existing is None:
+        assert not out_file.exists()
+    else:
+        assert out_file.read_bytes() == existing
 
 
 def test_cli_keeps_no_state_between_calls(capsys, tmp_path):
@@ -450,6 +525,30 @@ def test_cli_keeps_no_state_between_calls(capsys, tmp_path):
     capsys.readouterr()
     assert each_run() == first
     assert [code for code, *_ in first] == [0, 0]
+
+
+def test_overrides_build_one_scenario(capsys, monkeypatch):
+    """--seed and --set edit the preset's dict form: one scenario_from_dict
+    call, and no other Scenario is built on the way."""
+    calls, built = [], []
+    real_from_dict, real_post_init = scenario.scenario_from_dict, scenario.Scenario.__post_init__
+
+    def counted(data):
+        calls.append(data)
+        return real_from_dict(data)
+
+    def counted_post_init(self):
+        built.append(self.name)
+        real_post_init(self)
+
+    for module in (scenario, cli):      # every module that holds the name
+        monkeypatch.setattr(module, "scenario_from_dict", counted)
+    monkeypatch.setattr(scenario.Scenario, "__post_init__", counted_post_init)
+    code, _, _ = run_cli(capsys, "simulate", "--scenario", "military", "--seed", "3",
+                         "--set", "sim.episodes=1000")
+    assert code == 0
+    assert (len(calls), built) == (1, ["military"])
+    assert (calls[0]["sim"]["seed"], calls[0]["sim"]["episodes"]) == (3, 1000)
 
 
 def test_unexpected_error_names_its_type_and_origin(capsys, monkeypatch):
