@@ -357,6 +357,16 @@ def test_overrides_on_a_malformed_file_exit_two(capsys, tmp_path, edit, argv, me
     assert err.startswith(f"error: {message}")
 
 
+def test_an_override_replaces_a_field_the_file_gives_out_of_range(capsys, tmp_path):
+    data = single_relay_scenario()
+    data["game"]["detect_rate"] = 2.0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, "solve", "--scenario", str(path))[0] == 2
+    assert run_cli(capsys, "solve", "--scenario", str(path),
+                   "--set", "game.detect_rate=0.5")[0] == 0
+
+
 def test_seed_leaves_the_scenario_alone_where_nothing_is_simulated(capsys, tmp_path):
     # outage-check takes --seed as its Monte Carlo seed and analytic sweep-auth
     # simulates nothing, so a scenario with no sim section still runs and hashes
@@ -476,23 +486,20 @@ def test_non_finite_bundle_value_is_an_error_naming_its_path():
         bundle_to_json(bundle)
 
 
-@pytest.mark.parametrize("existing", [None, b"old bundle\n"])
-def test_non_finite_bundle_value_exits_four_and_writes_nothing(capsys, tmp_path, monkeypatch,
-                                                               existing):
+def test_non_finite_bundle_value_exits_four_and_writes_nothing(capsys, tmp_path, monkeypatch):
     real = cli.build_solve_report
     monkeypatch.setattr(cli, "build_solve_report",
                         lambda sc, diagnostics: {**real(sc, diagnostics=diagnostics),
                                                  "lambda_source": math.nan})
     out_file = tmp_path / "solve.json"
-    if existing is not None:
-        out_file.write_bytes(existing)
     code, _, err = run_cli(capsys, "solve", "--scenario", "military", "--out", str(out_file))
     assert code == 4
     assert err == "error: lambda_source: nan has no strict JSON form\n"
-    if existing is None:
-        assert not out_file.exists()
-    else:
-        assert out_file.read_bytes() == existing
+    assert not out_file.exists()
+    # An existing file keeps its old bytes: the text is built before it is opened.
+    out_file.write_bytes(b"old bundle\n")
+    assert run_cli(capsys, "solve", "--scenario", "military", "--out", str(out_file))[0] == 4
+    assert out_file.read_bytes() == b"old bundle\n"
 
 
 def test_cli_keeps_no_state_between_calls(capsys, tmp_path):
