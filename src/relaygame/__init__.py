@@ -41,8 +41,6 @@ from .throughput import (
     compromising_probability,
     min_auth_probability,
     optimize_messages,
-    payload_auth,
-    payload_noauth,
     throughput_gbn,
     throughput_general,
     throughput_sr,
@@ -58,6 +56,6 @@ from .sim import (
     policy_auth_probs,
     run_simulation,
 )
-from .scenario import Scenario, load_scenario, presets, save_scenario, scenario_hash
+from .scenario import Scenario, load_scenario, presets, scenario_hash
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -133,15 +133,11 @@ def count_outages(rng: np.random.Generator, link: LinkModel, trials: int) -> int
     hits += int(rng.binomial(failed - hits, -math.expm1(-x * ((t_relay - t_direct) / snr))))
     p_band = -math.expm1(-x * a)
     band = int(rng.binomial(failed - hits, p_band))
-    # Buffers per call, not per block, which the allocator would trim and re-fault.
-    block = np.empty((2, min(band, OUTAGE_CHUNK)))
     for start in range(0, band, OUTAGE_CHUNK):
-        g, e = block[:, :min(OUTAGE_CHUNK, band - start)]
-        np.log1p(np.multiply(rng.random(out=g), -p_direct, out=g), out=g)     # -g_sd
-        np.log1p(np.multiply(rng.random(out=e), -p_band, out=e), out=e)       # -x * e
-        np.add(g, np.divide(e, x, out=e), out=g)                              # -(g_sd + e)
-        # The flags go into e's bytes, which are read no more.
-        hits += int(np.count_nonzero(np.greater(g, -a, out=e.view(np.bool_)[:g.size])))
+        size = min(OUTAGE_CHUNK, band - start)
+        g = np.log1p(rng.random(size) * -p_direct)          # -g_sd
+        e = np.log1p(rng.random(size) * -p_band) / x        # -e
+        hits += int(np.count_nonzero(g + e > -a))
     return hits
 
 

@@ -41,7 +41,6 @@ from .scenario import (
     PRESET_NAMES,
     SECTIONS,
     field_names,
-    load_scenario,
     load_scenario_dict,
     presets,
     scenario_from_dict,
@@ -116,13 +115,10 @@ def _apply_overrides(scenario_dict: dict, overrides: list[str]) -> dict:
 
 
 def _load(args) -> "Scenario":
-    overrides = list(getattr(args, "set", None) or [])
     # outage-check takes --seed as its own Monte Carlo seed, not the scenario's.
     seed = args.seed if args.command == "simulate" or getattr(args, "simulate", False) else None
-    if not overrides and seed is None:
-        return load_scenario(args.scenario)
     # One Scenario per call: the overrides edit the preset's or file's dict form.
-    data = _apply_overrides(load_scenario_dict(args.scenario), overrides)
+    data = _apply_overrides(load_scenario_dict(args.scenario), args.set or [])
     if seed is not None and isinstance(data.get("sim"), dict):  # a seed alone makes no sim section
         data["sim"]["seed"] = seed
     return scenario_from_dict(data)

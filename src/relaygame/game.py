@@ -25,6 +25,9 @@ QUASI_REL_TOL = 1e-9
 #: Tolerance on mixed-strategy normalization.
 STRATEGY_SUM_TOL = 1e-9
 
+#: Largest pure-deviation gain verify_equilibrium still calls an equilibrium.
+VERIFY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GameParams:
@@ -103,9 +106,6 @@ class MixedStrategy:
         if abs(total - 1.0) > STRATEGY_SUM_TOL:
             raise ValidationError(f"strategy entries sum to {total!r}, not 1")
 
-    def __len__(self) -> int:
-        return len(self.probs)
-
 
 @dataclass(frozen=True)
 class TargetPartition:
@@ -120,10 +120,6 @@ class TargetPartition:
     quasi_sensible: tuple[int, ...]
     non_sensible: tuple[int, ...]
     threshold: float
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.sensible)
 
 
 @dataclass(frozen=True)
@@ -332,9 +328,7 @@ def diagnostic_attack_strategy(profiles, params: GameParams) -> tuple[float, ...
     return tuple(out)
 
 
-def verify_equilibrium(
-    p, q, profiles, params: GameParams, tolerance: float = 1e-9
-) -> VerificationReport:
+def verify_equilibrium(p, q, profiles, params: GameParams) -> VerificationReport:
     """Best-response oracle: scan every pure deviation of both players.
 
     Both total utilities are linear in the deviating player's own vector, so
@@ -353,5 +347,5 @@ def verify_equilibrium(
     return VerificationReport(
         attacker_gain=max(att) - u_att,
         source_gain=max(src) - u_src,
-        tolerance=tolerance,
+        tolerance=VERIFY_TOL,
     )

@@ -15,7 +15,8 @@ from dataclasses import replace
 from typing import Sequence
 
 from . import __version__
-from .channel import OUTAGE_CHUNK, outage_closed_form, outage_monte_carlo, outage_sr_link
+from .channel import (OUTAGE_CHUNK, binomial_stderr, outage_closed_form, outage_monte_carlo,
+                      outage_sr_link)
 from .errors import NoFeasibleMessageCountError, ValidationError, check_range
 from .game import (
     EquilibriumSolution,
@@ -248,7 +249,7 @@ def _crosscheck(closed_form: float, monte_carlo: float, trials: int) -> tuple[fl
     at p = 0 or 1), and whether the count's Chernoff tail bound reaches the flag level."""
     p, q = min(max(closed_form, 0.0), 1.0), monte_carlo
     kl = sum(a * (math.log(a / b) if b else math.inf) for a, b in ((q, p), (1 - q, 1 - p)) if a)
-    z = (q - p) / math.sqrt(p * (1.0 - p) / trials) if 0.0 < p < 1.0 else (0.0 if q == p else None)
+    z = (q - p) / binomial_stderr(p, trials) if 0.0 < p < 1.0 else (0.0 if q == p else None)
     return z, trials * kl <= -math.log(0.5 * math.erfc(CROSSCHECK_Z_BOUND / math.sqrt(2.0)))
 
 

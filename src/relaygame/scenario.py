@@ -346,10 +346,13 @@ def scenario_from_dict(data: dict) -> Scenario:
     relays = root.require("relays")
     if not isinstance(relays, list) or not relays:
         raise ValidationError("scenario.relays: expected a non-empty array")
-    profiles, links = [], []
+    profiles, links = {}, []     # profiles by relay id, in file order
     for k, entry in enumerate(relays):
         node = _Node(entry, f"scenario.relays[{k}]")
-        profiles.append(_read(node, RelayProfile, id=k + 1))
+        profile = _read(node, RelayProfile, id=k + 1)
+        if profile.id in profiles:
+            raise ValidationError(f"{node.path}.id: duplicate relay id {profile.id}")
+        profiles[profile.id] = profile
         links.append(_read(node.child("link"), LinkModel))
 
     # The sim section is optional; the others are required.
@@ -362,7 +365,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     return Scenario(
         name=root.checked("name", "unnamed", lambda v: isinstance(v, str), "a string"),
-        profiles=tuple(profiles),
+        profiles=tuple(profiles.values()),
         links=tuple(links),
         annotations=tuple(str(a) for a in annotations),
         **sections,
@@ -431,10 +434,6 @@ def load_scenario_dict(source: str | Path) -> dict:
 def load_scenario(source: str | Path) -> Scenario:
     """Resolve a preset name or read a scenario JSON file."""
     return scenario_from_dict(load_scenario_dict(source))
-
-
-def save_scenario(s: Scenario, path: str | Path) -> None:
-    write_file(path, json.dumps(scenario_to_dict(s), indent=2, sort_keys=True) + "\n")
 
 
 def write_file(path: str | Path, text: str) -> None:

@@ -81,10 +81,6 @@ class ThroughputConfig:
         return "explicit" if self.transfer_time is not None else "derived"
 
     @property
-    def resolved_transfer_time(self) -> float:
-        return _transfer_time(self, self.n_messages)
-
-    @property
     def resolved_window(self) -> int | None:
         if self.window is not None:
             return self.window
@@ -92,35 +88,24 @@ class ThroughputConfig:
             return window_size(self.data_rate, self.reaction_time, self.packet_bits)
         return None
 
-    def auth_payload_per_packet(self) -> int:
-        """Usable bits of one authenticated packet; <= 0 means infeasible."""
-        return _auth_payload(self, self.n_messages)
-
 
 # The per-n kernels below take an already validated config and n >= 1 and
 # check nothing: a sweep calls them once per message count.
 
-def _transfer_time(cfg: ThroughputConfig, n: int) -> float:
-    if cfg.transfer_time is not None:
-        return cfg.transfer_time
-    return n * cfg.packet_bits / cfg.data_rate
-
-
 def _auth_payload(cfg: ThroughputConfig, n: int) -> int:
+    """Usable bits of one authenticated packet at n messages; <= 0 means infeasible."""
     # (n - 1).bit_length() is ceil(log2(n)) for n >= 1, in exact integer arithmetic.
     return cfg.packet_bits - cfg.hash_bits * ((n - 1).bit_length() + 1)
 
 
-def _payloads(cfg: ThroughputConfig, n: int, per_packet: int) -> tuple[float, float]:
-    """(authenticated, unauthenticated) payload per pre-signature at n messages."""
-    return (n * cfg.auth_prob * per_packet,
-            n * (1.0 - cfg.auth_prob) * (cfg.packet_bits - cfg.hash_bits))
-
-
 def _arq_at(cfg: ThroughputConfig, n: int, per_packet: int, p_c: float, retry: float) -> float:
-    """payload * P_c / (T_presig + T_transfer * retry) at n messages."""
-    auth, plain = _payloads(cfg, n, per_packet)
-    return (auth + plain) * p_c / (cfg.presig_time + _transfer_time(cfg, n) * retry)
+    """payload * P_c / (T_presig + T_transfer * retry) at n messages, the payload
+    being the authenticated plus the unauthenticated bits per pre-signature."""
+    transfer = cfg.transfer_time if cfg.transfer_time is not None else \
+        n * cfg.packet_bits / cfg.data_rate
+    return ((n * cfg.auth_prob * per_packet
+             + n * (1.0 - cfg.auth_prob) * (cfg.packet_bits - cfg.hash_bits))
+            * p_c / (cfg.presig_time + transfer * retry))
 
 
 def _mode_terms(cfg: ThroughputConfig, mode: ArqMode, p_c: float) -> tuple[float, float]:
@@ -135,20 +120,10 @@ def _mode_terms(cfg: ThroughputConfig, mode: ArqMode, p_c: float) -> tuple[float
     return p_c, p_c + (1.0 - p_c) * window
 
 
-def payload_auth(cfg: ThroughputConfig) -> float:
-    """Authenticated payload per pre-signature; negative when the tree overhead wins."""
-    return _payloads(cfg, cfg.n_messages, cfg.auth_payload_per_packet())[0]
-
-
-def payload_noauth(cfg: ThroughputConfig) -> float:
-    """Unauthenticated payload per pre-signature."""
-    return _payloads(cfg, cfg.n_messages, cfg.auth_payload_per_packet())[1]
-
-
 def throughput_for_mode(cfg: ThroughputConfig, mode: ArqMode, p_c: float) -> float:
     """The one ARQ formula at cfg.n_messages; the general mode ignores ``p_c``."""
     p_c, retry = _mode_terms(cfg, mode, p_c)
-    return _arq_at(cfg, cfg.n_messages, cfg.auth_payload_per_packet(), p_c, retry)
+    return _arq_at(cfg, cfg.n_messages, _auth_payload(cfg, cfg.n_messages), p_c, retry)
 
 
 def throughput_general(cfg: ThroughputConfig) -> float:
