@@ -49,8 +49,6 @@ class Scenario:
         if len(self.profiles) != len(self.links):
             raise ValidationError(
                 f"{len(self.profiles)} relay profiles but {len(self.links)} links")
-        if len(set(self.ids)) != len(self.ids):
-            raise ValidationError(f"duplicate relay ids: {list(self.ids)}")
         if self.sim is not None:
             resolve_auth(self, self.sim)    # a per-relay mapping must name these relays
 

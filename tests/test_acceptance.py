@@ -132,7 +132,7 @@ def test_criterion_4_partition(military, commercial):
     with criterion(4, "partition correctness, presets + 1000 random instances"):
         for sc in (military, commercial):
             part = partition_targets(sc.profiles, sc.game)
-            assert part.cardinality == 3
+            assert len(part.sensible) == 3
             assert part.non_sensible == (4,)
         rng = np.random.default_rng(27182)
         for _ in range(1000):
@@ -140,7 +140,7 @@ def test_criterion_4_partition(military, commercial):
             part = partition_targets(profiles, params)
             assets = sorted((combined_asset(pr, params) for pr in profiles),
                             reverse=True)
-            assert brute_force_cardinality(assets, params) == [part.cardinality]
+            assert brute_force_cardinality(assets, params) == [len(part.sensible)]
 
 
 def _limit_case_link(d_rd=1.0):
@@ -184,7 +184,7 @@ def test_criterion_6_throughput_structure():
                                data_rate=1e6, reaction_time=0.01)
         # Rise-then-fall with the sign change exactly at the payload cutoff.
         cutoff = next(n for n in range(1, 1000)
-                      if replace(cfg, n_messages=n).auth_payload_per_packet() <= 0)
+                      if cfg.packet_bits - cfg.hash_bits * (math.ceil(math.log2(n)) + 1) <= 0)
         values = [throughput_general(replace(cfg, n_messages=n)) for n in range(1, 2 * cutoff)]
         peak = max(range(len(values)), key=values.__getitem__) + 1
         assert 1 < peak < cutoff
@@ -210,7 +210,8 @@ def test_criterion_6_throughput_structure():
             best = None
             for n in range(1, n_max + 1):
                 at_n = replace(c, n_messages=n)
-                if c.auth_prob > 0 and at_n.auth_payload_per_packet() <= 0:
+                if c.auth_prob > 0 and \
+                        c.packet_bits - c.hash_bits * (math.ceil(math.log2(n)) + 1) <= 0:
                     continue
                 t = throughput_for_mode(at_n, arq, p_c)
                 if best is None or t > best[1]:

@@ -75,6 +75,45 @@ def test_degenerate_maps_to_exit_three(capsys):
     assert code == 3
 
 
+def test_source_deviation_to_an_excluded_relay_exits_three(capsys):
+    code, out, err = run_cli(capsys, "solve", "--scenario", "military",
+                             "--set", "game.detect_rate=0.3", "--set", "game.false_alarm_rate=0",
+                             "--set", "game.attack_cost=0", "--set", "game.monitor_cost=0.5",
+                             "--set", "game.false_alarm_loss=0")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: relay 4: the source would deviate to this excluded relay")
+
+
+def test_sweep_n_with_no_feasible_message_count(capsys, tmp_path):
+    out = tmp_path / "sweep.json"
+    code, stdout, _ = run_cli(capsys, "sweep-n", "--scenario", "military",
+                              "--set", "throughput.hash_bits=1000", "--n-max", "8",
+                              "--out", str(out))
+    note = ("no n in 1..8 keeps the authenticated payload positive "
+            "(packet_bits=1000, hash_bits=1000)")
+    assert code == 0
+    assert f"optimal: none ({note})\n" in stdout
+    bundle = json.loads(out.read_text())
+    assert bundle["optimal"] == {"n": None, "throughput": None, "note": note}
+    assert [row["n"] for row in bundle["rows"]] == list(range(1, 9))
+    assert all(row["plot_omitted"] for row in bundle["rows"])
+
+
+@pytest.mark.parametrize("first, second", [(None, 1), (2, None)])
+def test_duplicate_relay_id_names_its_field_path(capsys, tmp_path, first, second):
+    # An absent id is the relay's position, so relays[1] without one is relay 2.
+    data = scenario.load_scenario_dict("military")
+    for relay, rid in zip(data["relays"], (first, second)):
+        relay.pop("id")
+        if rid is not None:
+            relay["id"] = rid
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "solve", "--scenario", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: scenario.relays[1].id: duplicate relay id {second or 2}\n"
+
+
 def test_sweep_n_of_an_unsolvable_game_binds_the_first_relay(capsys, tmp_path, military):
     """sweep-n needs no equilibrium: with none to name the most-attacked
     relay, P_c is the first relay's."""

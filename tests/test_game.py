@@ -143,7 +143,6 @@ def test_partition_military(military):
     assert part.sensible == (1, 2, 3)
     assert part.quasi_sensible == ()
     assert part.non_sensible == (4,)
-    assert part.cardinality == 3
     assert part.threshold == pytest.approx(0.27273, abs=1e-5)
 
 
@@ -195,11 +194,11 @@ def test_partition_matches_brute_force_scan():
         part = partition_targets(profiles, params)
         assets = sorted((combined_asset(pr, params) for pr in profiles), reverse=True)
         valid = brute_force_cardinality(assets, params)
-        assert valid == [part.cardinality]
+        assert valid == [len(part.sensible)]
         # Sensible prefix property: ids sorted by asset descending.
         by_asset = [pr.id for pr in sorted(
             profiles, key=lambda r: (-combined_asset(r, params), r.id))]
-        assert list(part.sensible) == by_asset[:part.cardinality]
+        assert list(part.sensible) == by_asset[:len(part.sensible)]
 
 
 def test_quasi_sensible_membership(military_params):
@@ -245,6 +244,15 @@ def test_solve_infeasible_raises():
     heavy_monitoring = GameParams(0.9, 0.05, 0.01, 50.0, 0.01)
     with pytest.raises(InfeasibleEquilibriumError):
         solve_equilibrium(make_profiles([1.0, 0.75, 0.5, 0.25]), heavy_monitoring)
+
+
+def test_solve_refuses_a_source_deviation_to_an_excluded_relay():
+    # Sensible {1, 2}, where the source's common payoff is -0.4 / (1/2 + 1/1.5)
+    # = -0.343; the excluded relay 4 would pay it -0.5 * 0.5 = -0.25.
+    params = GameParams(0.3, 0.0, 0.0, 0.5, 0.0)
+    with pytest.raises(InfeasibleEquilibriumError,
+                       match="^relay 4: the source would deviate to this excluded relay"):
+        solve_equilibrium(make_profiles([2.0, 1.5, 1.0, 0.5]), params)
 
 
 def test_indifference_invariants(military):

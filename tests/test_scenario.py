@@ -18,10 +18,10 @@ from relaygame.scenario import (
     field_names,
     load_scenario,
     presets,
-    save_scenario,
     scenario_from_dict,
     scenario_hash,
     scenario_to_dict,
+    write_file,
 )
 from relaygame.sim import SimConfig
 from relaygame.throughput import SecurityRequirement, ThroughputConfig
@@ -68,7 +68,7 @@ def test_presets_are_built_afresh_on_each_call():
 
 def test_round_trip(tmp_path, military):
     path = tmp_path / "scenario.json"
-    save_scenario(military, path)
+    write_file(path, json.dumps(scenario_to_dict(military), indent=2))
     again = load_scenario(path)
     assert scenario_to_dict(again) == scenario_to_dict(military)
     assert scenario_hash(again) == scenario_hash(military)

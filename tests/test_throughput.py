@@ -18,8 +18,6 @@ from relaygame.throughput import (
     compromising_probability,
     min_auth_probability,
     optimize_messages,
-    payload_auth,
-    payload_noauth,
     sweep_messages,
     throughput_for_mode,
     throughput_gbn,
@@ -29,6 +27,11 @@ from relaygame.throughput import (
 )
 
 
+def per_packet(c, n):
+    """Authenticated payload of one packet at n messages, written out."""
+    return c.packet_bits - c.hash_bits * (math.ceil(math.log2(n)) + 1)
+
+
 def cfg(**kwargs):
     base = dict(packet_bits=1000, hash_bits=160, n_messages=4, auth_prob=0.5,
                 presig_time=0.0, transfer_time=1.0)
@@ -36,22 +39,23 @@ def cfg(**kwargs):
     return ThroughputConfig(**base)
 
 
+# At transfer time 1 and no pre-signature time the general throughput is the
+# payload per pre-signature: authenticated plus unauthenticated bits.
+
 def test_payload_auth_examples():
-    assert payload_auth(cfg(n_messages=1, auth_prob=1.0)) == 840.0
-    assert payload_auth(cfg(n_messages=4, auth_prob=0.5)) == 1040.0
-    assert payload_auth(cfg(auth_prob=0.0)) == 0.0
+    assert throughput_general(cfg(n_messages=1, auth_prob=1.0)) == 840.0
+    assert throughput_general(cfg(n_messages=4, auth_prob=1.0)) == 4 * 520.0
     # Oversized tree: negative payload is representable data.
-    assert payload_auth(cfg(packet_bits=100, auth_prob=1.0)) < 0
+    assert throughput_general(cfg(packet_bits=100, auth_prob=1.0)) < 0
 
 
 def test_payload_noauth_examples():
-    assert payload_noauth(cfg(n_messages=4, auth_prob=0.5)) == 1680.0
-    assert payload_noauth(cfg(auth_prob=1.0)) == 0.0
-    assert payload_noauth(cfg(packet_bits=160, hash_bits=160)) == 0.0
+    assert throughput_general(cfg(n_messages=4, auth_prob=0.0)) == 4 * 840.0
+    assert throughput_general(cfg(packet_bits=160, hash_bits=160, auth_prob=0.0)) == 0.0
 
 
 def test_throughput_general():
-    assert throughput_general(cfg()) == pytest.approx(2720.0)
+    assert throughput_general(cfg()) == 2720.0   # 1040 authenticated + 1680 not
     assert throughput_general(cfg(presig_time=1.0)) == pytest.approx(1360.0)
     assert throughput_general(cfg(packet_bits=160, hash_bits=160, auth_prob=0.0)) == 0.0
 
@@ -73,23 +77,8 @@ def test_throughput_gbn():
         throughput_gbn(cfg(), 0.5)  # no window and no way to derive one
 
 
-# The three per-mode formulas that the one ARQ formula replaced, kept as the
-# reference it must reproduce bit for bit.
-def reference_general(c):
-    return (payload_auth(c) + payload_noauth(c)) / (c.presig_time + c.resolved_transfer_time)
-
-
-def reference_sr(c, p_c):
-    total = c.presig_time + c.resolved_transfer_time
-    return (payload_auth(c) + payload_noauth(c)) * p_c / total
-
-
-def reference_gbn(c, p_c):
-    denom = c.presig_time + c.resolved_transfer_time * (p_c + (1.0 - p_c) * c.resolved_window)
-    return (payload_auth(c) + payload_noauth(c)) * p_c / denom
-
-
 def test_one_formula_matches_per_mode_references():
+    # Each mode at n = n_messages against the written-out formula, bit for bit.
     rng = np.random.default_rng(2024)
     edge_pc = (0.0, 1.0, 5e-324, 1e-300, 0.5, float(np.nextafter(1.0, 0.0)))
     for i in range(600):
@@ -106,8 +95,8 @@ def test_one_formula_matches_per_mode_references():
                              presig_time=float(rng.choice([0.0, rng.uniform(0, 1)])),
                              window=window, **timing)
         p_c = float(rng.choice([0.0, 1.0, rng.uniform(), edge_pc[i % len(edge_pc)]]))
-        expected = {ArqMode.GENERAL: reference_general(c), ArqMode.SR: reference_sr(c, p_c),
-                    ArqMode.GBN: reference_gbn(c, p_c)}
+        expected = {mode: written_out_sweep(c, c.n_messages, mode, p_c)[-1][0]
+                    for mode in ArqMode}
         assert throughput_general(c) == expected[ArqMode.GENERAL]
         assert throughput_sr(c, p_c) == expected[ArqMode.SR]
         assert throughput_gbn(c, p_c) == expected[ArqMode.GBN]
@@ -165,8 +154,7 @@ def rise_fall_config():
 def test_throughput_vs_n_rises_falls_and_cuts_off():
     c = rise_fall_config()
     # Cutoff: first n with packet_bits <= hash_bits * (ceil(log2 n) + 1).
-    cutoff = next(n for n in range(1, 1000)
-                  if replace(c, n_messages=n).auth_payload_per_packet() <= 0)
+    cutoff = next(n for n in range(1, 1000) if per_packet(c, n) <= 0)
     assert cutoff == 33
     values = [throughput_general(replace(c, n_messages=n)) for n in range(1, 65)]
     peak = max(range(len(values)), key=values.__getitem__) + 1
@@ -180,7 +168,7 @@ def exhaustive_best(c, n_max, arq, p_c):
     best = None
     for n in range(1, n_max + 1):
         at_n = replace(c, n_messages=n)
-        if c.auth_prob > 0.0 and at_n.auth_payload_per_packet() <= 0:
+        if c.auth_prob > 0.0 and per_packet(c, n) <= 0:
             continue
         t = throughput_for_mode(at_n, arq, p_c)
         if best is None or t > best[1]:
@@ -220,7 +208,7 @@ def test_optimize_messages_matches_exhaustive_search():
 def reference_sweep(c, n_max, arq, p_c):
     """The per-n walk over copied configs that sweep_messages must reproduce."""
     return [(throughput_for_mode(replace(c, n_messages=n), arq, p_c),
-             c.auth_prob <= 0 or replace(c, n_messages=n).auth_payload_per_packet() > 0)
+             c.auth_prob <= 0 or per_packet(c, n) > 0)
             for n in range(1, n_max + 1)]
 
 
@@ -230,13 +218,13 @@ def written_out_sweep(c, n_max, arq, p_c):
               ArqMode.GBN: (p_c, c.resolved_window)}[arq]
     walk = []
     for n in range(1, n_max + 1):
-        per_packet = c.packet_bits - c.hash_bits * (math.ceil(math.log2(n)) + 1)
+        bits = per_packet(c, n)
         transfer = c.transfer_time if c.transfer_time is not None else \
             n * c.packet_bits / c.data_rate
-        payload = (n * c.auth_prob * per_packet
+        payload = (n * c.auth_prob * bits
                    + n * (1.0 - c.auth_prob) * (c.packet_bits - c.hash_bits))
         walk.append((payload * p_c / (c.presig_time + transfer * (p_c + (1.0 - p_c) * w)),
-                     c.auth_prob <= 0 or per_packet > 0))
+                     c.auth_prob <= 0 or bits > 0))
     return walk
 
 
@@ -401,7 +389,8 @@ def test_derived_timing_and_window():
                          auth_prob=1.0, presig_time=0.1,
                          data_rate=1e6, reaction_time=0.01)
     assert c.timing_model == "derived"
-    assert c.resolved_transfer_time == pytest.approx(0.004)
-    assert replace(c, n_messages=8).resolved_transfer_time == pytest.approx(0.008)
+    # Transfer time n * packet_bits / data_rate: 0.004 s at n = 4, 0.008 s at n = 8.
+    assert throughput_general(c) == pytest.approx(4 * 520 / (0.1 + 0.004))
+    assert throughput_general(replace(c, n_messages=8)) == pytest.approx(8 * 360 / (0.1 + 0.008))
     assert c.resolved_window == 10
     assert cfg().timing_model == "explicit"
