@@ -50,7 +50,6 @@ from .sim import (
     AttackerMode,
     CompromisePoint,
     SimConfig,
-    SimReport,
     SourceMode,
     estimate_compromise_curve,
     policy_auth_probs,

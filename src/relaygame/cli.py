@@ -59,29 +59,29 @@ CSV columns per command:
   sweep-n:    n, throughput, plot_omitted
   sweep-auth: auth_prob, throughput_sr, throughput_gbn,
               compromise_analytical, compromise_empirical, compromise_stderr
-  simulate:   per-relay simulation counters
+  simulate:   relay_id, attacker_episodes, source_episodes, packets,
+              compromised, compromise_rate, compromise_stderr,
+              packet_error_rate, outage_rate, outage_closed_form,
+              packet_success_analytical, auth_prob
   outage-check: relay_id, closed_form, monte_carlo, stderr, abs_gap, z, within_band
 """
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool) or value is None:
-        return str(value)
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
 
 
-def print_table(rows: list[dict], stream=None) -> None:
+def print_table(rows: list[dict]) -> None:
     if not rows:
         return
-    stream = stream if stream is not None else sys.stdout
     headers = list(rows[0].keys())
     cells = [[_fmt(r.get(h)) for h in headers] for r in rows]
     widths = [max(len(h), *(len(c[i]) for c in cells)) for i, h in enumerate(headers)]
-    stream.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
+    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
     for row in cells:
-        stream.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
 def _object(node, path: str) -> dict:

@@ -228,7 +228,7 @@ def build_simulation_report(scenario: Scenario, auth_policy: bool = False) -> di
     policy = policy_auth_probs(scenario.profiles, solution, scenario.security)
     if auth_policy:
         sim = replace(sim, auth_prob=policy)
-    report = run_simulation(scenario, sim, solution)
+    simulation = run_simulation(scenario, sim, solution)
     return {
         "report": "simulate",
         "provenance": provenance(scenario, seed=sim.seed),
@@ -239,7 +239,7 @@ def build_simulation_report(scenario: Scenario, auth_policy: bool = False) -> di
             "min_auth_prob_by_relay": {str(k): v for k, v in sorted(policy.items())},
             "auth_policy_applied": auth_policy,
         },
-        "simulation": report.to_dict(),
+        "simulation": simulation,
         "annotations": list(scenario.annotations),
     }
 

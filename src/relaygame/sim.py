@@ -31,7 +31,7 @@ whatever the episode count, and equal configs give byte-identical reports.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -89,58 +89,6 @@ class SimConfig:
         elif self.auth_prob is not None:
             for rid, pa in self.auth_prob.items():
                 check_range(f"auth_prob.{rid}", pa, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class RelaySimStats:
-    relay_id: int
-    attacker_episodes: int
-    source_episodes: int
-    packets: int
-    compromised: int
-    compromise_rate: float        # conditional on this relay being selected
-    compromise_stderr: float
-    packet_error_rate: float
-    outage_rate: float
-    outage_closed_form: float
-    packet_success_analytical: float
-    auth_prob: float
-
-
-@dataclass(frozen=True)
-class SimReport:
-    """Aggregated counters of one simulation run, serializable canonically."""
-
-    seed: int
-    episodes: int
-    packets_per_episode: int
-    attacker_mode: str
-    source_mode: str
-    refined_detection: bool
-    rng_algorithm: str
-    auth_prob: tuple[tuple[int, float], ...]      # (relay_id, p_a), sorted by id
-    attacker_counts: tuple[tuple[int, int], ...]  # (relay_id, episodes targeted)
-    source_counts: tuple[tuple[int, int], ...]    # (relay_id, episodes selected)
-    packets_total: int
-    compromised_total: int
-    compromise_rate: float
-    compromise_stderr: float
-    authenticated_total: int
-    authenticated_rate: float
-    auth_prob_effective: float    # selection-weighted p_a the payload terms use
-    packet_error_rate: float
-    packet_success_rate: float
-    per_relay: tuple[RelaySimStats, ...]
-    throughput: tuple[tuple[str, float, float], ...]  # (arq, empirical, analytical)
-    notes: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        """Plain-data form, equal to ``dataclasses.asdict`` without its deep copy:
-        the other fields are immutable already.  Tuples serialize as JSON arrays."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["per_relay"] = tuple({f.name: getattr(r, f.name) for f in fields(r)}
-                                 for r in self.per_relay)
-        return out
 
 
 def policy_auth_probs(
@@ -238,13 +186,14 @@ def _count_stage(scenario, sim: SimConfig, solution: EquilibriumSolution) -> _Co
 
 def run_simulation(
     scenario, sim: SimConfig, solution: EquilibriumSolution | None = None
-) -> SimReport:
+) -> dict:
     """Simulate repeated play of a solved scenario and tally outcomes.
 
     ``solution`` must come from solving the same scenario first (passing None
-    is an ordering misuse and raises).  Returns aggregate and per-relay
-    selection, compromise, packet-error and outage counters, plus empirical
-    ARQ throughput computed from the observed packet-success frequency.
+    is an ordering misuse and raises).  Returns the bundle's ``simulation``
+    section: aggregate and per-relay selection, compromise, packet-error and
+    outage counters, plus empirical ARQ throughput computed from the observed
+    packet-success frequency.  The per-relay key order is the CSV column order.
     """
     if solution is None:
         raise ValidationError("scenario must be solved before simulating")
@@ -267,20 +216,20 @@ def run_simulation(
             c.errored.tolist(), outages, scenario.p_c):
         packets_j = sel_eps * ppe
         rate_j, se_j = _rate_stderr(comp_j, packets_j)
-        per_relay.append(RelaySimStats(
-            relay_id=rid,
-            attacker_episodes=att_eps,
-            source_episodes=sel_eps,
-            packets=packets_j,
-            compromised=comp_j,
-            compromise_rate=rate_j,
-            compromise_stderr=se_j,
-            packet_error_rate=err_j / packets_j if packets_j else 0.0,
-            outage_rate=out_j / sel_eps if sel_eps else 0.0,
-            outage_closed_form=outage_closed_form(ln),
-            packet_success_analytical=pc_j,
-            auth_prob=c.auth_by_id[rid],
-        ))
+        per_relay.append({
+            "relay_id": rid,
+            "attacker_episodes": att_eps,
+            "source_episodes": sel_eps,
+            "packets": packets_j,
+            "compromised": comp_j,
+            "compromise_rate": rate_j,        # conditional on this relay being selected
+            "compromise_stderr": se_j,
+            "packet_error_rate": err_j / packets_j if packets_j else 0.0,
+            "outage_rate": out_j / sel_eps if sel_eps else 0.0,
+            "outage_closed_form": outage_closed_form(ln),
+            "packet_success_analytical": pc_j,
+            "auth_prob": c.auth_by_id[rid],
+        })
 
     # ARQ throughput: empirical uses the observed packet-success frequency,
     # the analytical column weights each relay's P_c by the mode's expected
@@ -292,13 +241,13 @@ def run_simulation(
     # Convex combinations; clip pure round-off back into [0, 1].
     pa_effective = min(1.0, max(0.0, float(c.q_select @ c.pa_vec)))
     cfg = replace(scenario.throughput, auth_prob=pa_effective)
-    throughput_rows = tuple(
+    throughput_rows = [
         (mode.value,
          throughput_for_mode(cfg, mode, pc_empirical),
          throughput_for_mode(cfg, mode, pc_analytical))
         for mode in (ArqMode.GENERAL, ArqMode.SR, ArqMode.GBN)
         if not (mode is ArqMode.GBN and cfg.resolved_window is None)
-    )
+    ]
     auth_total = int(c.authenticated.sum())
 
     notes = []
@@ -306,30 +255,30 @@ def run_simulation(
         notes.append(
             "attacker targets drawn from equal 1/K bins, not from the "
             "equilibrium distribution; selection frequencies will not match P*")
-    return SimReport(
-        seed=sim.seed,
-        episodes=episodes,
-        packets_per_episode=ppe,
-        attacker_mode=sim.attacker_mode.value,
-        source_mode=sim.source_mode.value,
-        refined_detection=sim.refined_detection,
-        rng_algorithm=RNG_ALGORITHM,
-        auth_prob=tuple(sorted(c.auth_by_id.items())),
-        attacker_counts=tuple(zip(ids, attacker_counts)),
-        source_counts=tuple(zip(ids, c.selected.tolist())),
-        packets_total=packets_total,
-        compromised_total=compromised_total,
-        compromise_rate=comp_rate,
-        compromise_stderr=comp_se,
-        authenticated_total=auth_total,
-        authenticated_rate=auth_total / packets_total,
-        auth_prob_effective=pa_effective,
-        packet_error_rate=err_total / packets_total,
-        packet_success_rate=pc_empirical,
-        per_relay=tuple(per_relay),
-        throughput=throughput_rows,
-        notes=tuple(notes),
-    )
+    return {
+        "seed": sim.seed,
+        "episodes": episodes,
+        "packets_per_episode": ppe,
+        "attacker_mode": sim.attacker_mode.value,
+        "source_mode": sim.source_mode.value,
+        "refined_detection": sim.refined_detection,
+        "rng_algorithm": RNG_ALGORITHM,
+        "auth_prob": sorted(c.auth_by_id.items()),           # (relay_id, p_a)
+        "attacker_counts": list(zip(ids, attacker_counts)),  # (relay_id, episodes targeted)
+        "source_counts": list(zip(ids, c.selected.tolist())),  # (relay_id, episodes selected)
+        "packets_total": packets_total,
+        "compromised_total": compromised_total,
+        "compromise_rate": comp_rate,
+        "compromise_stderr": comp_se,
+        "authenticated_total": auth_total,
+        "authenticated_rate": auth_total / packets_total,
+        "auth_prob_effective": pa_effective,  # selection-weighted p_a the payload terms use
+        "packet_error_rate": err_total / packets_total,
+        "packet_success_rate": pc_empirical,
+        "per_relay": per_relay,
+        "throughput": throughput_rows,        # (arq, empirical, analytical)
+        "notes": notes,
+    }
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
-"""SHA-256 of the canonical JSON bundle of both presets through every command.
+"""SHA-256 of the canonical JSON bundle of both presets through every command,
+and of the stdout tables plus the ``--format csv`` file of the same runs.
 
-A refactor must leave every bundle byte-identical.  A change that alters the
-draws or a formula on purpose updates these digests, bumps
-``sim.RNG_ALGORITHM`` when the draws changed, and says which bundles moved.
-A numpy upgrade that changes the Generator streams also shows here.
+The JSON writer sorts keys, so only the second set of digests sees the column
+order of the tables.  A refactor must leave every bundle and table
+byte-identical.  A change that alters the draws or a formula on purpose
+updates these digests, bumps ``sim.RNG_ALGORITHM`` when the draws changed,
+and says which bundles moved.  A numpy upgrade that changes the Generator
+streams also shows here.
 """
 
 import hashlib
@@ -70,3 +73,56 @@ def test_bundle_digest_is_pinned(tmp_path, preset, command):
     out = tmp_path / "bundle.json"
     assert main([*COMMANDS[command], "--scenario", preset, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED[preset, command]
+
+
+PINNED_TEXT = {
+    ("military", "solve"):
+        "63d650a5fa6fce62817bb0967196b29c19418e226ca2dbe5876e24ab71ad28a5",
+    ("military", "sweep-n-general"):
+        "9d4bcb67116c23bd87947cb6a0b02ad8fe838d2ed563ae1b4ab2ea815a8b1207",
+    ("military", "sweep-n-sr"):
+        "f117888ae8d07b8de3302ec94dee80786a3405aab0904d7f9523685b3805b938",
+    ("military", "sweep-n-gbn"):
+        "0707e09eb7f7885e8328ecfeaa3c6a0a9e742b446dbed46d1d062972332eccdc",
+    ("military", "sweep-auth"):
+        "6e31cc48569a01e9ae1f247b7707f831f7b846577b3813ce2cb22cab41c1244c",
+    ("military", "sweep-auth-simulate"):
+        "3a6ca248fe4f5b0bedb38518e69f7622639e200c869c75de469dd66264b16ca9",
+    ("military", "simulate"):
+        "13f38a2b00c35c5c531374e3ebf3464eb289c11fd1100a8151a3389e9e5fa26d",
+    ("military", "simulate-auth-policy"):
+        "33c70ed52cd93660973d162922fba2acba2a54cfb349ac03458be2b662455b99",
+    ("military", "outage-check"):
+        "94c9e357f326504edf03e53aaf60d29c37e00a82484c44524667fda4f2fec830",
+    ("commercial", "solve"):
+        "1f7484204b2de03d9d4cba603d9c828bed2b82a97390f5a46e9a60d3ded916d6",
+    ("commercial", "sweep-n-general"):
+        "9d4bcb67116c23bd87947cb6a0b02ad8fe838d2ed563ae1b4ab2ea815a8b1207",
+    ("commercial", "sweep-n-sr"):
+        "f117888ae8d07b8de3302ec94dee80786a3405aab0904d7f9523685b3805b938",
+    ("commercial", "sweep-n-gbn"):
+        "0707e09eb7f7885e8328ecfeaa3c6a0a9e742b446dbed46d1d062972332eccdc",
+    ("commercial", "sweep-auth"):
+        "3e53b9466bcb9302ebd911b7f54c534a3fddcce6cc8359e558eb7e7aca7e6908",
+    ("commercial", "sweep-auth-simulate"):
+        "368db4f9a1bc0b331e32e3408b7674110b24a171d83d6737a26808290fd80361",
+    ("commercial", "simulate"):
+        "a2f557eae358710d670b1bfbc2fe183de85c1e31aaf950fb40752b91032ec6ed",
+    ("commercial", "simulate-auth-policy"):
+        "823cd8dc17a0b8d44969290e773daa76ad2ae8a8d1c85eaf0e3394a30c052565",
+    ("commercial", "outage-check"):
+        "94c9e357f326504edf03e53aaf60d29c37e00a82484c44524667fda4f2fec830",
+}
+
+
+@pytest.mark.parametrize("preset", ["military", "commercial"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_stdout_and_csv_digest_is_pinned(capsys, tmp_path, preset, command):
+    """The stdout of a run without --out, then the --format csv file."""
+    assert main([*COMMANDS[command], "--scenario", preset]) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "table.csv"
+    assert main([*COMMANDS[command], "--scenario", preset, "--format", "csv",
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256(stdout.encode() + out.read_bytes()).hexdigest()
+    assert digest == PINNED_TEXT[preset, command]

@@ -178,6 +178,96 @@ def test_bad_grid_is_validation_error(capsys):
     assert code == 2
 
 
+def _drop_snr_sr(data):
+    for key in ("snr_sr", "snr_sr_db"):
+        data["relays"][1]["link"].pop(key, None)
+
+
+def _three_relays_one_on_the_threshold(data):
+    data["relays"] = data["relays"][:3]
+    for relay, asset in zip(data["relays"], (1.0, 1.0, 1 / 11)):
+        relay.update(info_asset=asset, sec_asset=asset)
+
+
+@pytest.mark.parametrize("argv, edit, code, message", [
+    (["solve", "--set", "game.detect_rate"], None,
+     2, "override 'game.detect_rate' is not KEY=VALUE"),
+    (["solve", "--set", "name=field-trial"], None, 0, "scenario field-trial:"),
+    (["solve"], _drop_snr_sr,
+     2, "scenario.relays[1].link.snr_sr: missing required field (snr_sr or snr_sr_db)"),
+    (["solve", "--set", "throughput.transfer_time=0.01"], None,
+     2, "scenario.throughput: give exactly one of transfer_time or data_rate"),
+    (["solve", "--set", "game.weight_info=0", "--set", "game.weight_security=0"], None,
+     2, "scenario.game: asset weights must not both be zero"),
+    (["solve"], lambda d: d.update(relays=[]), 2, "scenario.relays: expected a non-empty array"),
+    (["solve"], lambda d: d.update(relays={}), 2, "scenario.relays: expected a non-empty array"),
+    (["solve"], lambda d: d.update(annotations="x"),
+     2, "scenario.annotations: expected an array of strings"),
+    (["simulate", "--set", f"sim.episodes={2 ** 62}", "--set", "sim.packets_per_episode=4"],
+     None, 2, "scenario.sim: episodes x packets_per_episode must stay below 2^63"),
+    (["sweep-n", "--n-max", "0"], None, 2, "message-count range must not be empty"),
+    (["solve"], _three_relays_one_on_the_threshold, 0, "quasi-sensible"),
+], ids=["override-without-value", "override-kept-as-string", "link-without-snr-sr",
+        "transfer-time-and-data-rate", "zero-asset-weights", "relays-empty-array",
+        "relays-object", "annotations-string", "uncountable-simulation", "empty-n-range",
+        "quasi-sensible-relay"])
+def test_input_paths(capsys, tmp_path, argv, edit, code, message):
+    """A success prints ``message`` on stdout; a failure prints only it, as the error."""
+    name = "military"
+    if edit is not None:
+        data = scenario.load_scenario_dict("military")
+        edit(data)
+        name = str(tmp_path / "scenario.json")
+        Path(name).write_text(json.dumps(data))
+    out = tmp_path / "bundle.json"
+    got, stdout, err = run_cli(capsys, *argv, "--scenario", name, "--out", str(out))
+    assert got == code
+    if code:
+        assert (stdout, err) == ("", f"error: {message}\n")
+        assert not out.exists()
+    else:
+        assert message in stdout and err == ""
+    if edit is _three_relays_one_on_the_threshold:
+        bundle = json.loads(out.read_text())
+        assert bundle["partition"]["quasi_sensible"] == [3]
+        assert [row["set"] for row in bundle["equilibrium"]] == [
+            "sensible", "sensible", "quasi-sensible"]
+
+
+def csv_columns_in_help() -> dict[str, list[str]]:
+    """Command -> CSV columns, as the --help epilog lists them."""
+    columns, command = {}, None
+    for line in cli.CSV_COLUMNS_HELP.splitlines()[1:]:
+        text = line.strip()
+        if not line.startswith("   "):            # a command's first line
+            command, text = (part.strip() for part in text.split(":", 1))
+            columns[command] = []
+        columns[command] += [c.strip() for c in text.split(",") if c.strip()]
+    return columns
+
+
+CSV_ARGV = {
+    "solve": ["solve"],
+    "sweep-n": ["sweep-n", "--n-max", "4"],
+    "sweep-auth": ["sweep-auth", "--grid", "0,1"],
+    "simulate": ["simulate", "--set", "sim.episodes=1000"],
+    "outage-check": ["outage-check", "--trials", "1000"],
+}
+
+
+def test_csv_help_lists_every_command():
+    assert list(csv_columns_in_help()) == list(CSV_ARGV)
+
+
+@pytest.mark.parametrize("command", list(CSV_ARGV))
+def test_csv_header_is_the_column_list_in_the_help(capsys, tmp_path, command):
+    out = tmp_path / "table.csv"
+    assert run_cli(capsys, *CSV_ARGV[command], "--scenario", "military",
+                   "--format", "csv", "--out", str(out))[0] == 0
+    header = out.read_text().splitlines()[0]
+    assert header.split(",") == csv_columns_in_help()[command]
+
+
 def test_sweep_n_consistency(military):
     # Rows and optimum come from one walk over 1..max(n); each must equal a
     # direct evaluation at its own count, bit for bit.

@@ -317,3 +317,12 @@ def test_conditioning_relay_ties_go_to_the_smaller_id(military):
     sc = scenario_from_dict(data)
     assert len(set(sc.solution.attacker.probs)) == 1
     assert sc.ids[sc.conditioning] == 2
+
+
+def test_scenario_built_directly_needs_one_link_per_relay(military):
+    """A Scenario made without the loader still checks its relay list: with
+    unequal profiles and links every zip over them would drop relays."""
+    with pytest.raises(ValidationError, match="^scenario needs at least one relay$"):
+        dataclasses.replace(military, profiles=(), links=())
+    with pytest.raises(ValidationError, match="^4 relay profiles but 3 links$"):
+        dataclasses.replace(military, links=military.links[:-1])

@@ -1,6 +1,5 @@
 """Monte Carlo simulator: sampling, compromise accounting, determinism."""
 
-import dataclasses
 import math
 import tracemalloc
 from dataclasses import replace
@@ -41,44 +40,44 @@ def test_requires_solution(military):
 def test_full_authentication_never_compromises(military, military_solution):
     sim = SimConfig(episodes=20_000, seed=3, auth_prob=1.0)
     report = run_simulation(military, sim, military_solution)
-    assert report.compromised_total == 0
-    assert report.compromise_rate == 0.0
+    assert report["compromised_total"] == 0
+    assert report["compromise_rate"] == 0.0
 
 
 def test_reports_byte_identical_for_equal_seeds(military, military_solution):
     sim = SimConfig(episodes=30_000, seed=42, auth_prob=0.3)
     a = run_simulation(military, sim, military_solution)
     b = run_simulation(military, sim, military_solution)
-    assert canonical_json(a.to_dict()).encode() == canonical_json(b.to_dict()).encode()
+    assert canonical_json(a).encode() == canonical_json(b).encode()
     c = run_simulation(military, replace(sim, seed=43), military_solution)
-    assert canonical_json(c.to_dict()) != canonical_json(a.to_dict())
+    assert canonical_json(c) != canonical_json(a)
 
 
 def test_counts_are_consistent(military, military_solution):
     sim = SimConfig(episodes=25_000, packets_per_episode=2, seed=5, auth_prob=0.5)
     report = run_simulation(military, sim, military_solution)
-    assert sum(n for _, n in report.source_counts) == sim.episodes
-    assert sum(n for _, n in report.attacker_counts) == sim.episodes
-    assert report.packets_total == sim.episodes * 2
-    assert sum(r.packets for r in report.per_relay) == report.packets_total
-    assert 0.0 <= report.compromise_rate <= 1.0
+    assert sum(n for _, n in report["source_counts"]) == sim.episodes
+    assert sum(n for _, n in report["attacker_counts"]) == sim.episodes
+    assert report["packets_total"] == sim.episodes * 2
+    assert sum(r["packets"] for r in report["per_relay"]) == report["packets_total"]
+    assert 0.0 <= report["compromise_rate"] <= 1.0
 
 
 def test_conditional_compromise_tracks_attack_probs(military, military_solution):
     """At p_a = 0 the compromise rate given relay i is exactly P(target = i)."""
     sim = SimConfig(episodes=300_000, seed=11, auth_prob=0.0)
     report = run_simulation(military, sim, military_solution)
-    for stats, p_i in zip(report.per_relay, military_solution.attacker.probs):
-        if stats.packets == 0:
+    for stats, p_i in zip(report["per_relay"], military_solution.attacker.probs):
+        if stats["packets"] == 0:
             continue
-        sigma = math.sqrt(p_i * (1 - p_i) / stats.packets)
-        assert abs(stats.compromise_rate - p_i) <= 3 * sigma
+        sigma = math.sqrt(p_i * (1 - p_i) / stats["packets"])
+        assert abs(stats["compromise_rate"] - p_i) <= 3 * sigma
 
 
 def test_selection_frequencies_track_strategies(military, military_solution):
     sim = SimConfig(episodes=300_000, seed=13, auth_prob=0.5)
     report = run_simulation(military, sim, military_solution)
-    for (rid, count), q_i, p_i in zip(report.source_counts,
+    for (rid, count), q_i, p_i in zip(report["source_counts"],
                                       military_solution.source.probs,
                                       military_solution.attacker.probs):
         if q_i > 0:
@@ -86,7 +85,7 @@ def test_selection_frequencies_track_strategies(military, military_solution):
             assert abs(count / sim.episodes - q_i) <= 4 * sigma
         else:
             assert count == 0
-    for (rid, count), p_i in zip(report.attacker_counts,
+    for (rid, count), p_i in zip(report["attacker_counts"],
                                  military_solution.attacker.probs):
         if p_i > 0:
             sigma = math.sqrt(p_i * (1 - p_i) / sim.episodes)
@@ -99,33 +98,33 @@ def test_packet_success_and_auth_converge(military, military_solution):
     sim = SimConfig(episodes=200_000, seed=17, auth_prob=0.7)
     report = run_simulation(military, sim, military_solution)
     # Authenticated fraction converges to the Bernoulli probability.
-    sigma = math.sqrt(0.7 * 0.3 / report.packets_total)
-    assert abs(report.authenticated_rate - 0.7) <= 3 * sigma
-    assert report.auth_prob_effective == pytest.approx(0.7, abs=1e-12)
+    sigma = math.sqrt(0.7 * 0.3 / report["packets_total"])
+    assert abs(report["authenticated_rate"] - 0.7) <= 3 * sigma
+    assert report["auth_prob_effective"] == pytest.approx(0.7, abs=1e-12)
     # Per-packet success converges to the selection-weighted analytical value.
     expected = sum(
-        q * s.packet_success_analytical
-        for q, s in zip(military_solution.source.probs, report.per_relay))
-    sigma = math.sqrt(expected * (1 - expected) / report.packets_total)
-    assert abs(report.packet_success_rate - expected) <= 3 * sigma
+        q * s["packet_success_analytical"]
+        for q, s in zip(military_solution.source.probs, report["per_relay"]))
+    sigma = math.sqrt(expected * (1 - expected) / report["packets_total"])
+    assert abs(report["packet_success_rate"] - expected) <= 3 * sigma
     # Per-relay empirical error frequency within 3 sigma of its own link value.
-    for stats in report.per_relay:
-        if stats.packets == 0:
+    for stats in report["per_relay"]:
+        if stats["packets"] == 0:
             continue
-        p_err = 1.0 - stats.packet_success_analytical
-        sigma = math.sqrt(p_err * (1 - p_err) / stats.packets)
-        assert abs(stats.packet_error_rate - p_err) <= 3 * sigma
+        p_err = 1.0 - stats["packet_success_analytical"]
+        sigma = math.sqrt(p_err * (1 - p_err) / stats["packets"])
+        assert abs(stats["packet_error_rate"] - p_err) <= 3 * sigma
 
 
 def test_outage_frequency_tracks_closed_form(military, military_solution):
     sim = SimConfig(episodes=300_000, seed=19, auth_prob=1.0)
     report = run_simulation(military, sim, military_solution)
-    for stats in report.per_relay:
-        if stats.source_episodes < 10_000:
+    for stats in report["per_relay"]:
+        if stats["source_episodes"] < 10_000:
             continue
-        p = stats.outage_closed_form
-        sigma = math.sqrt(p * (1 - p) / stats.source_episodes)
-        assert abs(stats.outage_rate - p) <= 3 * sigma
+        p = stats["outage_closed_form"]
+        sigma = math.sqrt(p * (1 - p) / stats["source_episodes"])
+        assert abs(stats["outage_rate"] - p) <= 3 * sigma
 
 
 def test_best_utility_mode_pins_selection(military, military_solution):
@@ -133,9 +132,9 @@ def test_best_utility_mode_pins_selection(military, military_solution):
                     source_mode=SourceMode.BEST_UTILITY)
     report = run_simulation(military, sim, military_solution)
     # Relay 3 carries the largest attacker utility in the military preset.
-    counts = dict(report.source_counts)
+    counts = dict(report["source_counts"])
     assert counts[3] == sim.episodes
-    assert all(n == 0 for rid, n in report.source_counts if rid != 3)
+    assert all(n == 0 for rid, n in report["source_counts"] if rid != 3)
 
 
 def test_uniform_attacker_mode(military, military_solution):
@@ -143,9 +142,9 @@ def test_uniform_attacker_mode(military, military_solution):
                     attacker_mode=AttackerMode.UNIFORM)
     report = run_simulation(military, sim, military_solution)
     sigma = math.sqrt(0.25 * 0.75 / sim.episodes)
-    for rid, count in report.attacker_counts:
+    for rid, count in report["attacker_counts"]:
         assert abs(count / sim.episodes - 0.25) <= 4 * sigma
-    assert any("1/K bins" in note for note in report.notes)
+    assert any("1/K bins" in note for note in report["notes"])
 
 
 def test_refined_detection_mode_is_distinct(military, military_solution):
@@ -153,14 +152,14 @@ def test_refined_detection_mode_is_distinct(military, military_solution):
     refined = replace(base, refined_detection=True)
     clean = run_simulation(military, base, military_solution)
     leaky = run_simulation(military, refined, military_solution)
-    assert clean.compromised_total == 0
+    assert clean["compromised_total"] == 0
     # Fully authenticated traffic still leaks at rate (1 - detect_rate)
     # on attacked episodes in the exploratory refined model.
     hit_rate = sum(p * q for p, q in zip(military_solution.attacker.probs,
                                          military_solution.source.probs))
     expected = (1 - military.game.detect_rate) * hit_rate
-    sigma = math.sqrt(expected * (1 - expected) / leaky.packets_total)
-    assert abs(leaky.compromise_rate - expected) <= 4 * sigma
+    sigma = math.sqrt(expected * (1 - expected) / leaky["packets_total"])
+    assert abs(leaky["compromise_rate"] - expected) <= 4 * sigma
 
 
 def test_policy_auth_probs(military, military_solution):
@@ -184,10 +183,10 @@ def test_policy_auth_simulation_respects_bound(military, military_solution):
     policy = policy_auth_probs(military.profiles, military_solution, req)
     sim = SimConfig(episodes=200_000, seed=11, auth_prob=policy)
     report = run_simulation(military, sim, military_solution)
-    assert report.compromise_rate <= 0.20 + 3 * report.compromise_stderr
-    for stats in report.per_relay:
-        if stats.packets:
-            assert stats.compromise_rate <= 0.20 + 3 * stats.compromise_stderr
+    assert report["compromise_rate"] <= 0.20 + 3 * report["compromise_stderr"]
+    for stats in report["per_relay"]:
+        if stats["packets"]:
+            assert stats["compromise_rate"] <= 0.20 + 3 * stats["compromise_stderr"]
 
 
 def test_compromise_curve(military, military_solution):
@@ -230,9 +229,9 @@ def test_compromise_curve_equals_full_runs(request, preset, fields):
         assert point.seed == child_seed(sim.seed, idx)
         report = run_simulation(
             scenario, replace(sim, seed=point.seed, auth_prob=pa), solution)
-        stats = next(r for r in report.per_relay if r.relay_id == rid)
+        stats = next(r for r in report["per_relay"] if r["relay_id"] == rid)
         assert (point.empirical, point.stderr) == (
-            stats.compromise_rate, stats.compromise_stderr)
+            stats["compromise_rate"], stats["compromise_stderr"])
 
 
 @pytest.mark.parametrize("refined", [False, True])
@@ -241,9 +240,9 @@ def test_outage_is_the_last_stage(monkeypatch, military, military_solution, refi
     stage stubbed out every other field of the report is unchanged."""
     sim = SimConfig(episodes=40_000, packets_per_episode=2, seed=53,
                     auth_prob={1: 0.2, 2: 0.5, 3: 0.7, 4: 0.9}, refined_detection=refined)
-    real = run_simulation(military, sim, military_solution).to_dict()
+    real = run_simulation(military, sim, military_solution)
     monkeypatch.setattr(sim_module, "count_outages", lambda rng, link, trials: 0)
-    stubbed = run_simulation(military, sim, military_solution).to_dict()
+    stubbed = run_simulation(military, sim, military_solution)
     assert any(r["outage_rate"] > 0 for r in real["per_relay"])
     assert all(r["outage_rate"] == 0.0 for r in stubbed["per_relay"])
     for report in (real, stubbed):
@@ -283,10 +282,10 @@ def test_per_relay_auth_mapping(military, military_solution):
     sim = SimConfig(episodes=50_000, seed=43,
                     auth_prob={1: 1.0, 2: 1.0, 3: 0.0, 4: 1.0})
     report = run_simulation(military, sim, military_solution)
-    by_id = {r.relay_id: r for r in report.per_relay}
-    assert by_id[1].compromised == 0
-    assert by_id[2].compromised == 0
-    assert by_id[3].compromised > 0
+    by_id = {r["relay_id"]: r for r in report["per_relay"]}
+    assert by_id[1]["compromised"] == 0
+    assert by_id[2]["compromised"] == 0
+    assert by_id[3]["compromised"] > 0
     missing = SimConfig(episodes=10, seed=1, auth_prob={1: 0.5})
     with pytest.raises(ValidationError):
         run_simulation(military, missing, military_solution)
@@ -393,9 +392,9 @@ OUTAGE_GEOMETRIES = {
 
 
 def outage_z_scores(report, zs):
-    for stats in report.per_relay:
-        n, p_out = stats.source_episodes, stats.outage_closed_form
-        outages = round(stats.outage_rate * n)
+    for stats in report["per_relay"]:
+        n, p_out = stats["source_episodes"], stats["outage_closed_form"]
+        outages = round(stats["outage_rate"] * n)
         z_score(outages, n * p_out, n * p_out * (1 - p_out), zs)
 
 
@@ -419,28 +418,28 @@ def test_counters_match_per_episode_distribution(
                         attacker_mode=attacker_mode, source_mode=source_mode,
                         auth_prob=EQUIVALENCE_AUTH, refined_detection=refined)
         report = run_simulation(military, sim, military_solution)
-        for (_, count), p_i in zip(report.attacker_counts, p):
+        for (_, count), p_i in zip(report["attacker_counts"], p):
             z_score(count, e * p_i, e * p_i * (1 - p_i), zs["attacker"])
-        for (_, count), q_j in zip(report.source_counts, q):
+        for (_, count), q_j in zip(report["source_counts"], q):
             z_score(count, e * q_j, e * q_j * (1 - q_j), zs["source"])
         # Given the selection counts n_j, the per-relay counters are sums of
         # independent per-episode (or per-packet) draws.
         auth_mean = auth_var = 0.0
-        for j, stats in enumerate(report.per_relay):
-            n = stats.source_episodes
+        for j, stats in enumerate(report["per_relay"]):
+            n = stats["source_episodes"]
             # Compromised packets of one episode: H * B with H ~ Bern(P_j),
             # B ~ Bin(ppe, c_j).
             hb = p[j] * ppe * c[j]
             hb2 = p[j] * (ppe * c[j] * (1 - c[j]) + (ppe * c[j]) ** 2)
-            z_score(stats.compromised, n * hb, n * (hb2 - hb * hb), zs["compromised"])
+            z_score(stats["compromised"], n * hb, n * (hb2 - hb * hb), zs["compromised"])
             auth_mean += n * ppe * pa[j]
             auth_var += n * ppe * pa[j] * (1 - pa[j])
-            p_err = 1 - stats.packet_success_analytical
-            errored = round(stats.packet_error_rate * stats.packets)
-            z_score(errored, stats.packets * p_err, stats.packets * p_err * (1 - p_err),
+            p_err = 1 - stats["packet_success_analytical"]
+            errored = round(stats["packet_error_rate"] * stats["packets"])
+            z_score(errored, stats["packets"] * p_err, stats["packets"] * p_err * (1 - p_err),
                     zs["errored"])
         outage_z_scores(report, zs["outage"])
-        z_score(report.authenticated_total, auth_mean, auth_var, zs["authenticated"])
+        z_score(report["authenticated_total"], auth_mean, auth_var, zs["authenticated"])
         for name, scenario in geometries.items():
             outage_z_scores(run_simulation(scenario, sim, military_solution), zs[name])
     if source_mode is SourceMode.BEST_UTILITY:
@@ -460,28 +459,11 @@ def test_memory_stays_bounded_for_large_runs(military, military_solution):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.packets_total == 512_000_000
-    assert sum(r.source_episodes for r in report.per_relay) == sim.episodes
+    assert report["packets_total"] == 512_000_000
+    assert sum(r["source_episodes"] for r in report["per_relay"]) == sim.episodes
     assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_sim_config_rejects_uncountable_sizes():
     with pytest.raises(ValidationError, match="2\\^63"):
         SimConfig(episodes=2 ** 40, packets_per_episode=2 ** 23)
-
-
-@pytest.mark.parametrize("changes", [
-    {},
-    {"refined_detection": True},
-    {"attacker_mode": AttackerMode.UNIFORM},
-    {"source_mode": SourceMode.BEST_UTILITY},
-], ids=["default", "refined", "uniform-attacker", "best-utility"])
-def test_report_to_dict_equals_asdict(military, military_solution, changes):
-    """The shallow walk of ``to_dict`` against ``dataclasses.asdict``, its
-    recursive deep copy: equal values, the same key order at both levels."""
-    sim = SimConfig(episodes=20_000, packets_per_episode=3, seed=11, auth_prob=0.4, **changes)
-    report = run_simulation(military, sim, military_solution)
-    fast, oracle = report.to_dict(), dataclasses.asdict(report)
-    assert fast == oracle
-    assert list(fast) == list(oracle)
-    assert [list(r) for r in fast["per_relay"]] == [list(r) for r in oracle["per_relay"]]
