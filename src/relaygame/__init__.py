@@ -1,60 +1,16 @@
-"""Relay-selection security game: solver, channel/throughput models, simulator."""
+"""Relay-selection security game: solver, channel/throughput models, simulator.
+
+The top level re-exports the names README's "Library use" shows; everything
+else is imported from its submodule.
+"""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DegenerateGameError,
-    DimensionError,
-    InfeasibleEquilibriumError,
-    NoFeasibleMessageCountError,
-    RelayGameError,
-    ValidationError,
-)
-from .game import (
-    EquilibriumSolution,
-    GameParams,
-    MixedStrategy,
-    RelayProfile,
-    TargetPartition,
-    VerificationReport,
-    combined_asset,
-    diagnostic_attack_strategy,
-    partition_targets,
-    solve_equilibrium,
-    verify_equilibrium,
-)
-from .channel import (
-    LinkModel,
-    OutageEstimate,
-    ber_direct,
-    ber_diversity,
-    ber_end_to_end,
-    outage_closed_form,
-    outage_monte_carlo,
-    outage_sr_link,
-    packet_success,
-)
-from .throughput import (
-    ArqMode,
-    SecurityRequirement,
-    ThroughputConfig,
-    compromising_probability,
-    min_auth_probability,
-    optimize_messages,
-    throughput_gbn,
-    throughput_general,
-    throughput_sr,
-    window_size,
-)
-from .sim import (
-    AttackerMode,
-    CompromisePoint,
-    SimConfig,
-    SourceMode,
-    estimate_compromise_curve,
-    policy_auth_probs,
-    run_simulation,
-)
-from .scenario import Scenario, load_scenario, presets, scenario_hash
+from .game import solve_equilibrium, verify_equilibrium
+from .throughput import SecurityRequirement, min_auth_probability
+from .sim import SimConfig, estimate_compromise_curve, run_simulation
+from .scenario import load_scenario
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = ["__version__", "load_scenario", "solve_equilibrium", "verify_equilibrium",
+           "SimConfig", "run_simulation", "min_auth_probability", "SecurityRequirement",
+           "estimate_compromise_curve"]

@@ -61,16 +61,6 @@ class LinkModel:
                                       f"finite and non-zero, got {dist}", field=name)
 
 
-@dataclass(frozen=True)
-class OutageEstimate:
-    """Monte Carlo hit fraction with its binomial standard error."""
-
-    probability: float
-    stderr: float
-    trials: int
-    seed: int
-
-
 def outage_thresholds(target_rate: float) -> tuple[float, float]:
     """Gain-times-SNR thresholds of the direct path (2^R - 1) and of the
     half-rate relay paths (2^{2R} - 1); finite below MAX_TARGET_RATE."""
@@ -141,16 +131,15 @@ def count_outages(rng: np.random.Generator, link: LinkModel, trials: int) -> int
     return hits
 
 
-def outage_monte_carlo(link: LinkModel, trials: int, seed: int) -> OutageEstimate:
+def outage_monte_carlo(link: LinkModel, trials: int, seed: int) -> float:
     """Estimate the cooperative outage probability by simulation.
 
     Gains are drawn per the module fading convention; the estimate is the hit
-    fraction of the outage event, reproducible for a fixed seed.
+    fraction of the outage event, reproducible for a fixed seed.  Trial counts
+    from 2^63 up overflow numpy's binomial and are refused.
     """
-    check_range("trials", trials, 1)
-    p_hat = count_outages(np.random.default_rng(seed), link, trials) / trials
-    return OutageEstimate(probability=p_hat, stderr=binomial_stderr(p_hat, trials),
-                          trials=trials, seed=seed)
+    check_range("trials", trials, 1, 2 ** 63, hi_open=True)
+    return count_outages(np.random.default_rng(seed), link, trials) / trials
 
 
 def binomial_stderr(p_hat: float, trials: int) -> float:

@@ -15,8 +15,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from . import __version__
-from .channel import (OUTAGE_CHUNK, binomial_stderr, outage_closed_form, outage_monte_carlo,
-                      outage_sr_link)
+from .channel import OUTAGE_CHUNK, binomial_stderr, outage_monte_carlo, outage_sr_link
 from .errors import NoFeasibleMessageCountError, ValidationError, check_range
 from .game import (
     EquilibriumSolution,
@@ -95,11 +94,12 @@ def equilibrium_table(scenario: Scenario) -> list[dict]:
 def channel_table(scenario: Scenario) -> list[dict]:
     return [{
         "relay_id": rid,
-        "outage_closed_form": outage_closed_form(ln),
+        "outage_closed_form": outage,
         "outage_sr_link": outage_sr_link(ln.target_rate, ln.snr_sr),
         "ber_end_to_end": ber,
         "packet_success": p_c,
-    } for rid, ln, ber, p_c in zip(scenario.ids, scenario.links, scenario.ber, scenario.p_c)]
+    } for rid, ln, outage, ber, p_c in zip(
+        scenario.ids, scenario.links, scenario.outage, scenario.ber, scenario.p_c)]
 
 
 def build_solve_report(scenario: Scenario, diagnostics: bool = False) -> dict:
@@ -201,10 +201,9 @@ def build_sweep_auth_report(
     if simulate:
         sim = sim or _scenario_sim(scenario)
         seed = sim.seed
-        curve = estimate_compromise_curve(scenario, list(grid), sim)
-        for row, point in zip(rows, curve):
-            row["compromise_empirical"] = point.empirical
-            row["compromise_stderr"] = point.stderr
+        for row, (empirical, stderr) in zip(rows, estimate_compromise_curve(scenario, grid, sim)):
+            row["compromise_empirical"] = empirical
+            row["compromise_stderr"] = stderr
 
     return {
         "report": "sweep-auth",
@@ -264,16 +263,15 @@ def build_outage_crosscheck(scenario: Scenario, trials: int = 1_000_000, seed: i
     correlated.
     """
     rows = []
-    for idx, (pr, ln) in enumerate(zip(scenario.profiles, scenario.links)):
-        cf = outage_closed_form(ln)
+    for idx, (rid, ln, cf) in enumerate(zip(scenario.ids, scenario.links, scenario.outage)):
         mc = outage_monte_carlo(ln, trials, child_seed(seed, idx))
-        z, within = _crosscheck(cf, mc.probability, trials)
+        z, within = _crosscheck(cf, mc, trials)
         rows.append({
-            "relay_id": pr.id,
+            "relay_id": rid,
             "closed_form": cf,
-            "monte_carlo": mc.probability,
-            "stderr": mc.stderr,
-            "abs_gap": abs(cf - mc.probability),
+            "monte_carlo": mc,
+            "stderr": binomial_stderr(mc, trials),
+            "abs_gap": abs(cf - mc),
             "z": z,
             "within_band": within,
         })

@@ -22,7 +22,7 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .channel import LinkModel, ber_end_to_end, packet_success
+from .channel import LinkModel, ber_end_to_end, outage_closed_form, packet_success
 from .errors import (DegenerateGameError, InfeasibleEquilibriumError, RelayGameError,
                      ValidationError)
 from .game import EquilibriumSolution, GameParams, RelayProfile, solve_equilibrium
@@ -54,12 +54,16 @@ class Scenario:
 
     # A scenario is frozen, so what every report asks of it is worked out
     # once and kept: its hash for provenance, its equilibrium, and per relay
-    # its id, its link's end-to-end BER and packet success P_c, and which
-    # relay conditions the sweeps.
+    # its id, its link's closed-form outage, end-to-end BER and packet
+    # success P_c, and which relay conditions the sweeps.
 
     @functools.cached_property
     def ids(self) -> tuple[int, ...]:
         return tuple(pr.id for pr in self.profiles)
+
+    @functools.cached_property
+    def outage(self) -> tuple[float, ...]:
+        return tuple(outage_closed_form(ln) for ln in self.links)
 
     @functools.cached_property
     def ber(self) -> tuple[float, ...]:

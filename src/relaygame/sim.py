@@ -36,13 +36,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import binomial_stderr, count_outages, outage_closed_form
+from .channel import binomial_stderr, count_outages
 from .errors import ValidationError, check_range
 from .game import EquilibriumSolution
 from .throughput import (
     ArqMode,
     SecurityRequirement,
-    compromising_probability,
     min_auth_probability,
     throughput_for_mode,
 )
@@ -82,13 +81,18 @@ class SimConfig:
         check_range("packets_per_episode", self.packets_per_episode, 1)
         if self.episodes * self.packets_per_episode >= 2 ** 63:
             raise ValidationError("episodes x packets_per_episode must stay below 2^63")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValidationError(f"seed must be in [0, 2^64), got {self.seed}", field="seed")
+        check_seed(self.seed)
         if isinstance(self.auth_prob, (int, float)):
             check_range("auth_prob", self.auth_prob, 0.0, 1.0)
         elif self.auth_prob is not None:
             for rid, pa in self.auth_prob.items():
                 check_range(f"auth_prob.{rid}", pa, 0.0, 1.0)
+
+
+def check_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2^64), the range of one PCG64 seed word."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValidationError(f"seed must be in [0, 2^64), got {seed}", field="seed")
 
 
 def policy_auth_probs(
@@ -211,9 +215,9 @@ def run_simulation(
     attacker_counts = c.table.sum(axis=1).tolist()
 
     per_relay = []
-    for rid, ln, att_eps, sel_eps, comp_j, err_j, out_j, pc_j in zip(
-            ids, links, attacker_counts, c.selected.tolist(), c.compromised.tolist(),
-            c.errored.tolist(), outages, scenario.p_c):
+    for rid, att_eps, sel_eps, comp_j, err_j, out_j, out_cf_j, pc_j in zip(
+            ids, attacker_counts, c.selected.tolist(), c.compromised.tolist(),
+            c.errored.tolist(), outages, scenario.outage, scenario.p_c):
         packets_j = sel_eps * ppe
         rate_j, se_j = _rate_stderr(comp_j, packets_j)
         per_relay.append({
@@ -226,7 +230,7 @@ def run_simulation(
             "compromise_stderr": se_j,
             "packet_error_rate": err_j / packets_j if packets_j else 0.0,
             "outage_rate": out_j / sel_eps if sel_eps else 0.0,
-            "outage_closed_form": outage_closed_form(ln),
+            "outage_closed_form": out_cf_j,
             "packet_success_analytical": pc_j,
             "auth_prob": c.auth_by_id[rid],
         })
@@ -281,15 +285,6 @@ def run_simulation(
     }
 
 
-@dataclass(frozen=True)
-class CompromisePoint:
-    auth_prob: float
-    analytical: float     # (1 - p_a) * p_i* for the conditioning relay
-    empirical: float      # conditional compromise rate of that relay
-    stderr: float
-    seed: int
-
-
 def check_auth_grid(grid: Sequence[float]) -> None:
     """Reject an empty authentication grid or a value outside [0, 1]."""
     if len(grid) == 0:
@@ -299,36 +294,29 @@ def check_auth_grid(grid: Sequence[float]) -> None:
 
 
 def child_seed(master: int, index: int) -> int:
-    """Deterministic per-grid-point seed split of a master seed."""
+    """Deterministic seed split of a master seed by index: a grid point of the
+    compromise curve, or a relay of the outage cross-check."""
+    check_seed(master)
     return int(np.random.SeedSequence([master, index]).generate_state(1, np.uint64)[0])
 
 
 def estimate_compromise_curve(
     scenario, grid: Sequence[float], sim: SimConfig
-) -> tuple[CompromisePoint, ...]:
-    """Sweep the authentication probability and compare bound vs simulation.
+) -> list[tuple[float, float]]:
+    """Simulated compromise rate and its standard error at each grid value of
+    the authentication probability.
 
     The count stage of one simulation runs per grid point under a derived
-    sub-seed, so each point equals ``run_simulation``'s at that seed; the
-    empirical column is the compromise rate conditional on the scenario's
-    conditioning relay, the one the attacker targets most.
+    sub-seed, so each point equals ``run_simulation``'s at that seed; the rate
+    is conditional on the scenario's conditioning relay, the one the attacker
+    targets most.  Its bound is ``compromising_probability(pa, p_star)``.
     """
     check_auth_grid(grid)
-    solution = scenario.solution
     j = scenario.conditioning
-    p_star = solution.attacker.probs[j]
-
-    points = []
+    curve = []
     for idx, pa in enumerate(grid):
-        seed = child_seed(sim.seed, idx)
-        counts = _count_stage(scenario, replace(sim, seed=seed, auth_prob=float(pa)), solution)
-        empirical, stderr = _rate_stderr(
-            int(counts.compromised[j]), int(counts.selected[j]) * sim.packets_per_episode)
-        points.append(CompromisePoint(
-            auth_prob=float(pa),
-            analytical=compromising_probability(float(pa), p_star),
-            empirical=empirical,
-            stderr=stderr,
-            seed=seed,
-        ))
-    return tuple(points)
+        at_pa = replace(sim, seed=child_seed(sim.seed, idx), auth_prob=float(pa))
+        counts = _count_stage(scenario, at_pa, scenario.solution)
+        curve.append(_rate_stderr(int(counts.compromised[j]),
+                                  int(counts.selected[j]) * sim.packets_per_episode))
+    return curve

@@ -16,6 +16,7 @@ from relaygame.channel import (
     ber_direct,
     ber_diversity,
     ber_end_to_end,
+    binomial_stderr,
     count_outages,
     outage_closed_form,
     outage_monte_carlo,
@@ -289,18 +290,21 @@ def test_outage_monte_carlo_reproducible():
     b = outage_monte_carlo(lm, 20000, seed=99)
     assert a == b
     c = outage_monte_carlo(lm, 20000, seed=100)
-    assert c.probability != a.probability  # different stream
+    assert c != a  # different stream
 
 
 def test_outage_monte_carlo_edge_rates():
     zero = outage_monte_carlo(link(rate=0.0), 1000, seed=1)
-    assert zero.probability == 0.0 and zero.stderr == 0.0
+    assert zero == 0.0 and binomial_stderr(zero, 1000) == 0.0
     certain = outage_monte_carlo(link(rate=511.99, snr=1.0), 1000, seed=1)
-    assert certain.probability == 1.0
+    assert certain == 1.0
     with pytest.raises(ValidationError, match="target_rate"):
         link(rate=1000.0, snr=1.0)   # 2^(2R) would overflow a float
     with pytest.raises(ValidationError):
         outage_monte_carlo(link(), 0, seed=1)
+    # Refused before any draw: numpy's binomial overflows from 2^63 trials.
+    with pytest.raises(ValidationError, match="^trials must be in"):
+        outage_monte_carlo(link(), 2 ** 63, seed=1)
 
 
 def test_outage_monte_carlo_tracks_closed_form():
@@ -309,7 +313,7 @@ def test_outage_monte_carlo_tracks_closed_form():
     for d_rd in (0.5, 1.0, 2.0):
         lm = link(rate=1.0, snr=10.0, d_rd=d_rd)
         estimate = outage_monte_carlo(lm, 200_000, seed=7)
-        assert abs(estimate.probability - outage_closed_form(lm)) <= 5e-3
+        assert abs(estimate - outage_closed_form(lm)) <= 5e-3
 
 
 def link_failing_direct(p_direct, snr, **geometry):
@@ -335,7 +339,7 @@ DIRECT_FAILURE_GEOMETRIES = {
 def test_outage_monte_carlo_across_direct_failure_rates(name):
     lm, trials = DIRECT_FAILURE_GEOMETRIES[name]
     p = outage_closed_form(lm)
-    zs = [(outage_monte_carlo(lm, trials, seed).probability - p)
+    zs = [(outage_monte_carlo(lm, trials, seed) - p)
           / math.sqrt(p * (1.0 - p) / trials) for seed in range(100)]
     n = len(zs)
     assert abs(sum(zs) / n) <= 4.0 / math.sqrt(n), f"mean z {sum(zs) / n:.3f}"
@@ -477,10 +481,11 @@ def test_count_outages_matches_per_episode_definition(name):
 def test_outage_monte_carlo_edge_counts():
     # Every direct path fails at rate 511.99, and none at a huge SNR, where
     # no relay-hop gain is drawn at all.
-    certain = outage_monte_carlo(link(rate=511.99, snr=1.0), 3 * OUTAGE_CHUNK + 7, seed=2)
-    assert certain.probability == 1.0 and certain.stderr == 0.0
-    never = outage_monte_carlo(link(rate=1.0, snr=1e15), 3 * OUTAGE_CHUNK + 7, seed=2)
-    assert never.probability == 0.0 and never.stderr == 0.0
+    trials = 3 * OUTAGE_CHUNK + 7
+    certain = outage_monte_carlo(link(rate=511.99, snr=1.0), trials, seed=2)
+    assert certain == 1.0 and binomial_stderr(certain, trials) == 0.0
+    never = outage_monte_carlo(link(rate=1.0, snr=1e15), trials, seed=2)
+    assert never == 0.0 and binomial_stderr(never, trials) == 0.0
 
 
 def test_cooperative_outage_event_matches_scalar_forms():

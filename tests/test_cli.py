@@ -206,11 +206,14 @@ def _three_relays_one_on_the_threshold(data):
     (["simulate", "--set", f"sim.episodes={2 ** 62}", "--set", "sim.packets_per_episode=4"],
      None, 2, "scenario.sim: episodes x packets_per_episode must stay below 2^63"),
     (["sweep-n", "--n-max", "0"], None, 2, "message-count range must not be empty"),
+    (["outage-check", "--seed", "-1"], None, 2, "seed must be in [0, 2^64), got -1"),
+    (["outage-check", "--trials", str(10 ** 20)], None,
+     2, f"trials must be in [1, {2 ** 63:g}), got {10 ** 20}"),
     (["solve"], _three_relays_one_on_the_threshold, 0, "quasi-sensible"),
 ], ids=["override-without-value", "override-kept-as-string", "link-without-snr-sr",
         "transfer-time-and-data-rate", "zero-asset-weights", "relays-empty-array",
         "relays-object", "annotations-string", "uncountable-simulation", "empty-n-range",
-        "quasi-sensible-relay"])
+        "outage-check-negative-seed", "outage-check-uncountable-trials", "quasi-sensible-relay"])
 def test_input_paths(capsys, tmp_path, argv, edit, code, message):
     """A success prints ``message`` on stdout; a failure prints only it, as the error."""
     name = "military"
@@ -591,7 +594,7 @@ def test_outage_crosscheck_at_certain_and_impossible_outage():
 
 
 def test_outage_crosscheck_of_an_impossible_outage_is_strict_json(military, monkeypatch):
-    monkeypatch.setattr(report, "outage_closed_form", lambda link: 0.0)
+    monkeypatch.setitem(vars(military), "outage", (0.0,) * len(military.links))
     bundle = build_outage_crosscheck(military, trials=10_000, seed=1)
     assert [r["z"] for r in bundle["rows"]] == [None] * len(military.links)
     assert not bundle["all_within_band"] and bundle["note"]

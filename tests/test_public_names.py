@@ -1,4 +1,5 @@
-"""Every public name of the library has a caller outside the tests.
+"""Every public name of the library has a caller outside the tests, and the
+package top level re-exports exactly what README's "Library use" imports.
 
 A public module-level function or class, or a public method or property, of
 ``src/relaygame`` must be named as a whole word somewhere in the library
@@ -48,3 +49,20 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             if not named:
                 unused.append(f"{path.stem}.{qualname}")
     assert unused == []
+
+
+def readme_library_imports() -> set[str]:
+    """Names the first code block under README's "Library use" imports from
+    the package top level."""
+    text = (ROOT / "README.md").read_text().split("## Library use", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    return {alias.name for node in ast.walk(ast.parse(block))
+            if isinstance(node, ast.ImportFrom) and node.module == "relaygame"
+            for alias in node.names}
+
+
+def test_package_top_level_is_what_readme_imports():
+    import relaygame
+
+    assert sorted(relaygame.__all__) == sorted(readme_library_imports() | {"__version__"})
+    assert all(hasattr(relaygame, name) for name in relaygame.__all__)

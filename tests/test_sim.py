@@ -22,7 +22,7 @@ from relaygame.sim import (
     policy_auth_probs,
     run_simulation,
 )
-from relaygame.throughput import SecurityRequirement
+from relaygame.throughput import SecurityRequirement, compromising_probability
 
 TABLE_P = (0.23256, 0.30814, 0.4593, 0.0)   # published military attack probs
 
@@ -191,22 +191,23 @@ def test_policy_auth_simulation_respects_bound(military, military_solution):
 
 def test_compromise_curve(military, military_solution):
     sim = SimConfig(episodes=120_000, seed=37)
-    curve = estimate_compromise_curve(military, [0.0, 0.5, 1.0], sim)
+    grid = [0.0, 0.5, 1.0]
+    curve = estimate_compromise_curve(military, grid, sim)
+    assert military.conditioning == 2
     p3 = military_solution.attacker.probs[2]
-    assert [pt.analytical for pt in curve] == \
-        pytest.approx([p3, 0.5 * p3, 0.0], abs=1e-12)
-    assert [pt.analytical for pt in curve] == \
-        pytest.approx([0.4593, 0.22965, 0.0], abs=1e-4)
-    for pt in curve:
-        assert abs(pt.empirical - pt.analytical) <= max(3 * pt.stderr, 1e-12)
-    assert curve[-1].empirical == 0.0
+    analytical = [compromising_probability(pa, p3) for pa in grid]
+    assert analytical == pytest.approx([p3, 0.5 * p3, 0.0], abs=1e-12)
+    assert analytical == pytest.approx([0.4593, 0.22965, 0.0], abs=1e-4)
+    for (empirical, stderr), bound in zip(curve, analytical):
+        assert abs(empirical - bound) <= max(3 * stderr, 1e-12)
+    assert curve[-1][0] == 0.0
     # Monotone decreasing within noise.
-    for a, b in zip(curve, curve[1:]):
-        assert b.empirical <= a.empirical + 3 * (a.stderr + b.stderr)
+    for (rate_a, se_a), (rate_b, se_b) in zip(curve, curve[1:]):
+        assert rate_b <= rate_a + 3 * (se_a + se_b)
     # Sub-seeds differ per grid point but derive deterministically.
-    again = estimate_compromise_curve(military, [0.0, 0.5, 1.0], sim)
+    again = estimate_compromise_curve(military, grid, sim)
     assert curve == again
-    assert len({pt.seed for pt in curve}) == 3
+    assert len({child_seed(sim.seed, idx) for idx in range(len(grid))}) == 3
 
 
 @pytest.mark.parametrize("preset,fields", [
@@ -225,13 +226,12 @@ def test_compromise_curve_equals_full_runs(request, preset, fields):
     grid = [0.0, 0.3, 0.7, 1.0]
     curve = estimate_compromise_curve(scenario, grid, sim)
     rid = scenario.ids[scenario.conditioning]
+    assert len(curve) == len(grid)
     for idx, (pa, point) in enumerate(zip(grid, curve)):
-        assert point.seed == child_seed(sim.seed, idx)
         report = run_simulation(
-            scenario, replace(sim, seed=point.seed, auth_prob=pa), solution)
+            scenario, replace(sim, seed=child_seed(sim.seed, idx), auth_prob=pa), solution)
         stats = next(r for r in report["per_relay"] if r["relay_id"] == rid)
-        assert (point.empirical, point.stderr) == (
-            stats["compromise_rate"], stats["compromise_stderr"])
+        assert point == (stats["compromise_rate"], stats["compromise_stderr"])
 
 
 @pytest.mark.parametrize("refined", [False, True])
@@ -252,9 +252,10 @@ def test_outage_is_the_last_stage(monkeypatch, military, military_solution, refi
 
 
 def test_compromise_curve_single_point(military, military_solution):
-    (point,) = estimate_compromise_curve(military, [1.0], SimConfig(episodes=20_000, seed=41))
-    assert point.empirical == 0.0
-    assert point.analytical == 0.0
+    ((empirical, _),) = estimate_compromise_curve(
+        military, [1.0], SimConfig(episodes=20_000, seed=41))
+    assert empirical == 0.0
+    assert compromising_probability(1.0, military_solution.attacker.probs[2]) == 0.0
 
 
 def test_compromise_curve_validation(military):
