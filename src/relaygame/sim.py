@@ -81,7 +81,7 @@ class SimConfig:
         check_range("packets_per_episode", self.packets_per_episode, 1)
         if self.episodes * self.packets_per_episode >= 2 ** 63:
             raise ValidationError("episodes x packets_per_episode must stay below 2^63")
-        check_seed(self.seed)
+        _check_seed(self.seed)
         if isinstance(self.auth_prob, (int, float)):
             check_range("auth_prob", self.auth_prob, 0.0, 1.0)
         elif self.auth_prob is not None:
@@ -89,7 +89,7 @@ class SimConfig:
                 check_range(f"auth_prob.{rid}", pa, 0.0, 1.0)
 
 
-def check_seed(seed: int) -> None:
+def _check_seed(seed: int) -> None:
     """Reject a seed outside [0, 2^64), the range of one PCG64 seed word."""
     if not 0 <= seed < 2 ** 64:
         raise ValidationError(f"seed must be in [0, 2^64), got {seed}", field="seed")
@@ -296,7 +296,7 @@ def check_auth_grid(grid: Sequence[float]) -> None:
 def child_seed(master: int, index: int) -> int:
     """Deterministic seed split of a master seed by index: a grid point of the
     compromise curve, or a relay of the outage cross-check."""
-    check_seed(master)
+    _check_seed(master)
     return int(np.random.SeedSequence([master, index]).generate_state(1, np.uint64)[0])
 
 
