@@ -130,9 +130,12 @@ def _emit(bundle: dict, args) -> None:
         out_dir = os.environ.get("RELAYGAME_OUT_DIR")
         if out_dir and not path.is_absolute():
             path = Path(out_dir) / path
-        path.parent.mkdir(parents=True, exist_ok=True)
         text = bundle_to_csv(bundle) if args.format == "csv" else bundle_to_json(bundle)
-        write_file(path, text)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_file(path, text)
+        except OSError as exc:
+            raise RelayGameError(f"{path}: cannot write ({exc})") from exc
         print(f"wrote {path}")
 
 

@@ -140,19 +140,6 @@ class EquilibriumSolution:
     per_relay: tuple[tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of the pure-deviation scan of verify_equilibrium."""
-
-    attacker_gain: float
-    source_gain: float
-    tolerance: float
-
-    @property
-    def is_equilibrium(self) -> bool:
-        return self.attacker_gain <= self.tolerance and self.source_gain <= self.tolerance
-
-
 def _checked_assets(profiles, params) -> list[float]:
     if len(profiles) < 1:
         raise ValidationError("need at least one relay")
@@ -304,13 +291,14 @@ def solve_equilibrium(profiles, params: GameParams) -> EquilibriumSolution:
     )
 
 
-def diagnostic_attack_strategy(profiles, params: GameParams) -> tuple[float, ...]:
-    """Variant attack vector that drops the additive indifference offset.
+def diagnostic_attack_strategy(profiles, params: GameParams,
+                               partition: TargetPartition) -> tuple[float, ...]:
+    """Variant attack vector that drops the additive indifference offset, over
+    the solver's ``partition`` of these profiles.
 
     Kept purely for diagnostic comparison: it does not equalize the source's
     per-unit-selection payoff and generally does not sum to one.
     """
-    partition = partition_targets(profiles, params)
     assets = {pr.id: combined_asset(pr, params) for pr in profiles}
     sensible = set(partition.sensible)
     m = len(sensible)
@@ -328,13 +316,15 @@ def diagnostic_attack_strategy(profiles, params: GameParams) -> tuple[float, ...
     return tuple(out)
 
 
-def verify_equilibrium(p, q, profiles, params: GameParams) -> VerificationReport:
+def verify_equilibrium(p, q, profiles, params: GameParams) -> dict:
     """Best-response oracle: scan every pure deviation of both players.
 
     Both total utilities are linear in the deviating player's own vector, so
     the largest achievable unilateral improvement is attained at a pure
     strategy; the reported gains are exact deviation bounds, independent of
-    the closed forms used by the solver.
+    the closed forms used by the solver.  Returns the solve bundle's
+    ``verification`` section: both gains, ``tolerance`` and ``is_equilibrium``
+    (both gains at most the tolerance, so a NaN gain is never an equilibrium).
     """
     pv, qv = _strategy_pair(p, q, len(profiles))
     assets = _checked_assets(profiles, params)
@@ -344,8 +334,10 @@ def verify_equilibrium(p, q, profiles, params: GameParams) -> VerificationReport
     src = [phi(ai, pi, params) for ai, pi in zip(assets, pv)]
     u_att = sum(pi * s for pi, s in zip(pv, att))
     u_src = sum(qi * s for qi, s in zip(qv, src))
-    return VerificationReport(
-        attacker_gain=max(att) - u_att,
-        source_gain=max(src) - u_src,
-        tolerance=VERIFY_TOL,
-    )
+    attacker_gain, source_gain = max(att) - u_att, max(src) - u_src
+    return {
+        "attacker_gain": attacker_gain,
+        "source_gain": source_gain,
+        "tolerance": VERIFY_TOL,
+        "is_equilibrium": attacker_gain <= VERIFY_TOL and source_gain <= VERIFY_TOL,
+    }

@@ -17,12 +17,7 @@ from typing import Sequence
 from . import __version__
 from .channel import OUTAGE_CHUNK, binomial_stderr, outage_monte_carlo, outage_sr_link
 from .errors import NoFeasibleMessageCountError, ValidationError, check_range
-from .game import (
-    EquilibriumSolution,
-    combined_asset,
-    diagnostic_attack_strategy,
-    verify_equilibrium,
-)
+from .game import combined_asset, diagnostic_attack_strategy, verify_equilibrium
 from .scenario import Scenario, canonical_json, scenario_hash
 from .sim import (
     RNG_ALGORITHM,
@@ -65,24 +60,19 @@ def provenance(scenario: Scenario, seed: int | None = None) -> dict:
     }
 
 
-def _membership(solution: EquilibriumSolution, relay_id: int) -> str:
-    part = solution.partition
-    if relay_id in part.sensible:
-        return "sensible"
-    if relay_id in part.quasi_sensible:
-        return "quasi-sensible"
-    return "non-sensible"
-
-
 def equilibrium_table(scenario: Scenario) -> list[dict]:
     solution = scenario.solution
+    part = solution.partition
+    membership = {rid: name for name, ids in (
+        ("sensible", part.sensible), ("quasi-sensible", part.quasi_sensible),
+        ("non-sensible", part.non_sensible)) for rid in ids}
     rows = []
     for k, pr in enumerate(scenario.profiles):
         u_att, u_src = solution.per_relay[k]
         rows.append({
             "relay_id": pr.id,
             "combined_asset": combined_asset(pr, scenario.game),
-            "set": _membership(solution, pr.id),
+            "set": membership[pr.id],
             "attack_prob": solution.attacker.probs[k],
             "select_prob": solution.source.probs[k],
             "attacker_utility": u_att,
@@ -105,8 +95,6 @@ def channel_table(scenario: Scenario) -> list[dict]:
 def build_solve_report(scenario: Scenario, diagnostics: bool = False) -> dict:
     """Equilibrium bundle: partition, strategies, utilities, verification."""
     solution = scenario.solution
-    check = verify_equilibrium(
-        solution.attacker, solution.source, scenario.profiles, scenario.game)
     bundle = {
         "report": "solve",
         "provenance": provenance(scenario),
@@ -119,18 +107,14 @@ def build_solve_report(scenario: Scenario, diagnostics: bool = False) -> dict:
         "lambda_attacker": solution.lambda_attacker,
         "lambda_source": solution.lambda_source,
         "equilibrium": equilibrium_table(scenario),
-        "verification": {
-            "attacker_gain": check.attacker_gain,
-            "source_gain": check.source_gain,
-            "tolerance": check.tolerance,
-            "is_equilibrium": check.is_equilibrium,
-        },
+        "verification": verify_equilibrium(
+            solution.attacker, solution.source, scenario.profiles, scenario.game),
         "channel": channel_table(scenario),
         "annotations": list(scenario.annotations),
     }
     if diagnostics:
-        bundle["diagnostic_attack_strategy"] = list(
-            diagnostic_attack_strategy(scenario.profiles, scenario.game))
+        bundle["diagnostic_attack_strategy"] = list(diagnostic_attack_strategy(
+            scenario.profiles, scenario.game, solution.partition))
     return bundle
 
 

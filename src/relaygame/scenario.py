@@ -428,9 +428,13 @@ def load_scenario_dict(source: str | Path) -> dict:
             f"unknown preset or missing file: {source!r} "
             f"(presets: {', '.join(PRESET_NAMES)})")
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read ({exc})") from exc
 
 
 def load_scenario(source: str | Path) -> Scenario:

@@ -29,14 +29,6 @@ class ArqMode(enum.Enum):
     GBN = "gbn"
 
 
-def window_size(data_rate: float, reaction_time: float, packet_bits: int) -> int:
-    """Outstanding-packet window: rate * reaction time / packet size, ceiling, >= 1."""
-    check_range("data_rate", data_rate, 0.0, lo_open=True)
-    check_range("reaction_time", reaction_time, 0.0, lo_open=True)
-    check_range("packet_bits", packet_bits, 0, lo_open=True)
-    return max(1, math.ceil(data_rate * reaction_time / packet_bits))
-
-
 @dataclass(frozen=True)
 class ThroughputConfig:
     """Packet/hash sizes, message count, authentication fraction and timing.
@@ -82,10 +74,11 @@ class ThroughputConfig:
 
     @property
     def resolved_window(self) -> int | None:
+        """The given window, else rate * reaction time / packet size, ceiling, >= 1."""
         if self.window is not None:
             return self.window
         if self.data_rate is not None and self.reaction_time is not None:
-            return window_size(self.data_rate, self.reaction_time, self.packet_bits)
+            return max(1, math.ceil(self.data_rate * self.reaction_time / self.packet_bits))
         return None
 
 

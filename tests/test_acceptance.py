@@ -122,8 +122,8 @@ def test_criterion_3_no_deviation_oracle(military, commercial):
         for profiles, params in cases:
             sol = solve_equilibrium(profiles, params)
             check = verify_equilibrium(sol.attacker, sol.source, profiles, params)
-            assert check.attacker_gain <= 1e-9
-            assert check.source_gain <= 1e-9
+            assert check["attacker_gain"] <= 1e-9
+            assert check["source_gain"] <= 1e-9
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"oracle sweep took {elapsed:.2f} s"
 

@@ -237,6 +237,57 @@ def test_input_paths(capsys, tmp_path, argv, edit, code, message):
             "sensible", "sensible", "quasi-sensible"]
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda path: path.mkdir(), "cannot read ([Errno 21] Is a directory: "),
+    (lambda path: path.write_bytes(b'\xff{"name": "x"}'),
+     "not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 0"),
+], ids=["directory", "not-utf-8"])
+def test_unreadable_scenario_file_exits_two(capsys, tmp_path, make, message):
+    path = tmp_path / "scenario.json"
+    make(path)
+    code, stdout, err = run_cli(capsys, "solve", "--scenario", str(path))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {path}: {message}")
+
+
+@pytest.mark.parametrize("out, message", [
+    ("", "cannot write ([Errno 21] Is a directory: "),
+    ("file/bundle.json", "cannot write ([Errno 17] File exists: "),
+], ids=["out-is-a-directory", "out-under-a-file"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unwritable_out_is_a_plain_error(capsys, tmp_path, out, message, fmt):
+    (tmp_path / "file").write_text("kept")
+    path = tmp_path / out
+    code, stdout, err = run_cli(capsys, "solve", "--scenario", "military",
+                                "--format", fmt, "--out", str(path))
+    assert code == 4
+    assert "wrote" not in stdout
+    assert err.startswith(f"error: {path}: {message}")
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_uniform_attacker_prints_its_note(capsys):
+    code, stdout, _ = run_cli(capsys, "simulate", "--scenario", "military",
+                              "--set", "sim.attacker_mode=uniform",
+                              "--set", "sim.episodes=1000")
+    assert code == 0
+    assert "\nnote: attacker targets drawn from equal 1/K bins, not from the equilibrium " \
+        "distribution; selection frequencies will not match P*\n" in stdout
+
+
+def test_outage_check_out_of_band_prints_its_note(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(scenario, "outage_closed_form", lambda link: 0.5)
+    out = tmp_path / "check.json"
+    code, stdout, _ = run_cli(capsys, "outage-check", "--scenario", "military",
+                              "--trials", "1000", "--out", str(out))
+    assert code == 0
+    assert "\nnote: a simulated outage count is rarer at the closed form than 4 standard " \
+        "errors out; check the fading convention in the provenance block\n" in stdout
+    bundle = json.loads(out.read_text())
+    assert bundle["all_within_band"] is False
+    assert {row["closed_form"] for row in bundle["rows"]} == {0.5}
+
+
 def csv_columns_in_help() -> dict[str, list[str]]:
     """Command -> CSV columns, as the --help epilog lists them."""
     columns, command = {}, None

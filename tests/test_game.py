@@ -213,7 +213,7 @@ def test_quasi_sensible_membership(military_params):
     assert sol.attacker.probs[3] == 0.0
     assert sol.source.probs[3] == 0.0
     check = verify_equilibrium(sol.attacker, sol.source, profiles, military_params)
-    assert check.attacker_gain <= 1e-9  # attacker exactly indifferent at the bound
+    assert check["attacker_gain"] <= 1e-9  # attacker exactly indifferent at the bound
 
 
 def test_solve_military(military):
@@ -277,9 +277,10 @@ def test_verify_equilibrium_on_presets(military, commercial):
     for sc in (military, commercial):
         sol = solve_equilibrium(sc.profiles, sc.game)
         check = verify_equilibrium(sol.attacker, sol.source, sc.profiles, sc.game)
-        assert check.attacker_gain <= 1e-9
-        assert check.source_gain <= 1e-9
-        assert check.is_equilibrium
+        assert check["attacker_gain"] <= 1e-9
+        assert check["source_gain"] <= 1e-9
+        assert check["tolerance"] == 1e-9
+        assert check["is_equilibrium"] is True
 
 
 def test_source_prefers_equilibrium_over_excluded_relay(military):
@@ -297,16 +298,24 @@ def test_verify_flags_non_equilibrium(military):
     lopsided = MixedStrategy((1.0, 0.0, 0.0, 0.0))
     check = verify_equilibrium(lopsided, sol.source, military.profiles, military.game)
     # Attacker stays indifferent against Q*, but the source now has a target.
-    assert check.attacker_gain <= 1e-9
-    assert check.source_gain > 1e-6
-    assert not check.is_equilibrium
+    assert check["attacker_gain"] <= 1e-9
+    assert check["source_gain"] > 1e-6
+    assert check["is_equilibrium"] is False
+
+
+def test_verify_calls_a_nan_gain_no_equilibrium(military):
+    sol = solve_equilibrium(military.profiles, military.game)
+    check = verify_equilibrium((float("nan"), 1.0, 0.0, 0.0), sol.source,
+                               military.profiles, military.game)
+    assert check["attacker_gain"] != check["attacker_gain"]      # NaN
+    assert check["is_equilibrium"] is False
 
 
 def test_diagnostic_strategy_gap(military):
     """The offset-free variant misses P* by exactly the indifference constant."""
     params = military.game
     sol = solve_equilibrium(military.profiles, params)
-    diag = diagnostic_attack_strategy(military.profiles, params)
+    diag = diagnostic_attack_strategy(military.profiles, params, sol.partition)
     bcf = params.false_alarm_rate * params.false_alarm_loss
     offset = (bcf + params.monitor_cost) / (2 * params.detect_rate + bcf)
     for k, pr in enumerate(military.profiles):
@@ -341,8 +350,8 @@ def test_no_deviation_property(instance):
     except InfeasibleEquilibriumError:
         assume(False)
     check = verify_equilibrium(sol.attacker, sol.source, profiles, params)
-    assert check.attacker_gain <= 1e-9
-    assert check.source_gain <= 1e-9
+    assert check["attacker_gain"] <= 1e-9
+    assert check["source_gain"] <= 1e-9
     assert abs(sum(sol.attacker.probs) - 1.0) <= 1e-9
     assert abs(sum(sol.source.probs) - 1.0) <= 1e-9
 

@@ -21,7 +21,6 @@ from relaygame.throughput import (
     compromising_probability,
     min_auth_probability,
     throughput_sr,
-    window_size,
 )
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -72,7 +71,6 @@ def test_auth_prob_mapping_rejects_non_finite(bad):
     lambda x: outage_sr_link(x, 10.0),
     lambda x: outage_sr_link(1.0, x),
     lambda x: packet_success(x, 1000),
-    lambda x: window_size(x, 0.01, 1000),
     lambda x: throughput_sr(load_scenario("military").throughput, x),
     lambda x: min_auth_probability(x, SecurityRequirement(0.2)),
     lambda x: compromising_probability(x, 0.5),
@@ -80,7 +78,7 @@ def test_auth_prob_mapping_rejects_non_finite(bad):
     lambda x: check_auth_grid([0.5, x]),
     lambda x: MixedStrategy((x, 1.0)),
 ], ids=["ber_direct", "ber_diversity", "outage_sr_link.rate", "outage_sr_link.snr",
-        "packet_success", "window_size", "throughput_sr", "min_auth_probability",
+        "packet_success", "throughput_sr", "min_auth_probability",
         "compromising_probability.auth", "compromising_probability.p_star",
         "check_auth_grid", "MixedStrategy"])
 def test_scalar_entry_points_reject_non_finite(call, bad):

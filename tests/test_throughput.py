@@ -23,7 +23,6 @@ from relaygame.throughput import (
     throughput_gbn,
     throughput_general,
     throughput_sr,
-    window_size,
 )
 
 
@@ -105,11 +104,14 @@ def test_one_formula_matches_per_mode_references():
 
 
 def test_window_size_examples():
-    assert window_size(1e6, 0.01, 1000) == 10
-    assert window_size(1e3, 0.0001, 1000) == 1
-    assert window_size(1e6, 0.0015, 1000) == 2
+    def window(data_rate, reaction_time, packet_bits):
+        return ThroughputConfig(packet_bits=packet_bits, hash_bits=160, data_rate=data_rate,
+                                reaction_time=reaction_time).resolved_window
+    assert window(1e6, 0.01, 1000) == 10
+    assert window(1e3, 0.0001, 1000) == 1
+    assert window(1e6, 0.0015, 1000) == 2
     with pytest.raises(ValidationError):
-        window_size(0.0, 0.01, 1000)
+        window(0.0, 0.01, 1000)
 
 
 @given(st.floats(0.0, 1.0), st.integers(1, 200))
