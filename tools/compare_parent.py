@@ -23,7 +23,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bench_pairs import ROOT, export, git
+from bench_pairs import ROOT, export
 
 WORK = ROOT / ".bench_work" / "compare"
 
@@ -132,7 +132,7 @@ def main() -> int:
     records = {}
     for side, rev in (("parent", args.parent), ("change", args.change)):
         checkout = WORK / side
-        export(git("rev-parse", rev), checkout)
+        export(rev, checkout)
         records[side] = [run(checkout, WORK / "run" / side, argv) for argv in ARGVS]
     found = differences(records["parent"], records["change"])
     for i, fields in found:
