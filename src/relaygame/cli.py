@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import traceback
@@ -39,18 +38,14 @@ from .report import (
 )
 from .scenario import (
     PRESET_NAMES,
-    SECTIONS,
-    field_names,
+    Scenario,
+    apply_overrides,
     load_scenario_dict,
     presets,
     scenario_from_dict,
     write_file,
 )
 from .throughput import ArqMode
-
-#: Scenario fields --set may override (dotted paths into the scenario JSON).
-OVERRIDE_KEYS = frozenset(
-    ["name"] + [f"{key}.{name}" for key, cls in SECTIONS.items() for name in field_names(cls)])
 
 CSV_COLUMNS_HELP = """\
 CSV columns per command:
@@ -74,8 +69,6 @@ def _fmt(value) -> str:
 
 
 def print_table(rows: list[dict]) -> None:
-    if not rows:
-        return
     headers = list(rows[0].keys())
     cells = [[_fmt(r.get(h)) for h in headers] for r in rows]
     widths = [max(len(h), *(len(c[i]) for c in cells)) for i, h in enumerate(headers)]
@@ -84,41 +77,11 @@ def print_table(rows: list[dict]) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
-def _object(node, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise ValidationError(f"{path}: expected an object, got {type(node).__name__}")
-    return node
-
-
-def _apply_overrides(scenario_dict: dict, overrides: list[str]) -> dict:
-    _object(scenario_dict, "scenario")
-    for item in overrides:
-        if "=" not in item:
-            raise ValidationError(f"override {item!r} is not KEY=VALUE")
-        key, raw = item.split("=", 1)
-        key = key.strip()
-        if key not in OVERRIDE_KEYS:
-            raise ValidationError(
-                f"unknown override key {key!r}; allowed: {', '.join(sorted(OVERRIDE_KEYS))}")
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        *sections, leaf = key.split(".")
-        node = scenario_dict
-        for part in sections:       # a null section counts as absent
-            if node.get(part) is None:
-                node[part] = {}
-            node = _object(node[part], f"scenario.{part}")
-        node[leaf] = value
-    return scenario_dict
-
-
-def _load(args) -> "Scenario":
+def _load(args) -> Scenario:
     # outage-check takes --seed as its own Monte Carlo seed, not the scenario's.
     seed = args.seed if args.command == "simulate" or getattr(args, "simulate", False) else None
     # One Scenario per call: the overrides edit the preset's or file's dict form.
-    data = _apply_overrides(load_scenario_dict(args.scenario), args.set or [])
+    data = apply_overrides(load_scenario_dict(args.scenario), args.set or [])
     if seed is not None and isinstance(data.get("sim"), dict):  # a seed alone makes no sim section
         data["sim"]["seed"] = seed
     return scenario_from_dict(data)
@@ -139,7 +102,7 @@ def _emit(bundle: dict, args) -> None:
         print(f"wrote {path}")
 
 
-def cmd_presets(args) -> int:
+def cmd_presets() -> None:
     rows = []
     for name, sc in presets().items():
         rows.append({
@@ -153,11 +116,9 @@ def cmd_presets(args) -> int:
             "security": sc.security.max_compromised_fraction,
         })
     print_table(rows)
-    return EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    scenario = _load(args)
+def cmd_solve(scenario: Scenario, args) -> dict:
     bundle = build_solve_report(scenario, diagnostics=args.diagnostics)
     print(f"scenario {scenario.name}: threshold={_fmt(bundle['partition']['threshold'])} "
           f"lambda_attacker={_fmt(bundle['lambda_attacker'])} "
@@ -168,12 +129,10 @@ def cmd_solve(args) -> int:
           f"source_gain={_fmt(ver['source_gain'])} equilibrium={ver['is_equilibrium']}")
     for note in bundle["annotations"]:
         print(f"note: {note}")
-    _emit(bundle, args)
-    return EXIT_OK
+    return bundle
 
 
-def cmd_sweep_n(args) -> int:
-    scenario = _load(args)
+def cmd_sweep_n(scenario: Scenario, args) -> dict:
     bundle = build_sweep_n_report(scenario, range(1, args.n_max + 1), ArqMode(args.arq))
     print_table(bundle["rows"])
     opt = bundle["optimal"]
@@ -181,12 +140,10 @@ def cmd_sweep_n(args) -> int:
         print(f"optimal: n={opt['n']} throughput={_fmt(opt['throughput'])}")
     else:
         print(f"optimal: none ({opt['note']})")
-    _emit(bundle, args)
-    return EXIT_OK
+    return bundle
 
 
-def cmd_sweep_auth(args) -> int:
-    scenario = _load(args)
+def cmd_sweep_auth(scenario: Scenario, args) -> dict:
     try:
         grid = [float(x) for x in args.grid.split(",") if x.strip() != ""]
     except ValueError as exc:
@@ -195,12 +152,10 @@ def cmd_sweep_auth(args) -> int:
     print(f"conditioning relay {bundle['conditioning_relay']} "
           f"(attack probability {_fmt(bundle['attack_prob_conditioning'])})")
     print_table(bundle["rows"])
-    _emit(bundle, args)
-    return EXIT_OK
+    return bundle
 
 
-def cmd_simulate(args) -> int:
-    scenario = _load(args)
+def cmd_simulate(scenario: Scenario, args) -> dict:
     bundle = build_simulation_report(scenario, auth_policy=args.auth_policy)
     sim = bundle["simulation"]
     print(f"scenario {scenario.name}: {sim['episodes']} episodes x "
@@ -215,19 +170,16 @@ def cmd_simulate(args) -> int:
     ])
     for note in sim["notes"]:
         print(f"note: {note}")
-    _emit(bundle, args)
-    return EXIT_OK
+    return bundle
 
 
-def cmd_outage_check(args) -> int:
-    scenario = _load(args)
+def cmd_outage_check(scenario: Scenario, args) -> dict:
     bundle = build_outage_crosscheck(
         scenario, trials=args.trials, seed=args.seed if args.seed is not None else 0)
     print_table(bundle["rows"])
     if bundle["note"]:
         print(f"note: {bundle['note']}")
-    _emit(bundle, args)
-    return EXIT_OK
+    return bundle
 
 
 @functools.cache
@@ -285,15 +237,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1_000_000)
     p.set_defaults(func=cmd_outage_check)
 
-    p = sub.add_parser("presets", help="list built-in scenarios")
-    p.set_defaults(func=cmd_presets)
+    sub.add_parser("presets", help="list built-in scenarios")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "presets":
+            cmd_presets()
+        else:
+            _emit(args.func(_load(args), args), args)
+        return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -152,15 +152,6 @@ def _checked_assets(profiles, params) -> list[float]:
     return assets
 
 
-def _strategy_pair(p, q, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    pv = tuple(p.probs) if isinstance(p, MixedStrategy) else tuple(p)
-    qv = tuple(q.probs) if isinstance(q, MixedStrategy) else tuple(q)
-    if len(pv) != n or len(qv) != n:
-        raise DimensionError(
-            f"strategy lengths ({len(pv)}, {len(qv)}) do not match {n} relays")
-    return pv, qv
-
-
 def _prefix_threshold(m: int, inv_asset_prefix_sum: float, params: GameParams) -> float:
     # (m(1-C_a) - 2a) / ((1-C_a) * sum_{j<=m} 1/A_j)
     one_minus_ca = 1.0 - params.attack_cost
@@ -270,7 +261,7 @@ def solve_equilibrium(profiles, params: GameParams) -> EquilibriumSolution:
     p_by_id = {i: snapped(v, i) for i, v in p_by_id.items()}
     for i in partition.quasi_sensible + partition.non_sensible:
         # Source must not prefer an excluded relay over the common payoff.
-        if -assets[i] * (bcf + cm) > lam_source:
+        if phi(assets[i], 0.0, params) > lam_source:
             raise InfeasibleEquilibriumError(
                 f"relay {i}: the source would deviate to this excluded relay "
                 "(monitoring/false-alarm burden too high for an equilibrium)")
@@ -316,7 +307,7 @@ def diagnostic_attack_strategy(profiles, params: GameParams,
     return tuple(out)
 
 
-def verify_equilibrium(p, q, profiles, params: GameParams) -> dict:
+def verify_equilibrium(p: MixedStrategy, q: MixedStrategy, profiles, params: GameParams) -> dict:
     """Best-response oracle: scan every pure deviation of both players.
 
     Both total utilities are linear in the deviating player's own vector, so
@@ -324,9 +315,12 @@ def verify_equilibrium(p, q, profiles, params: GameParams) -> dict:
     strategy; the reported gains are exact deviation bounds, independent of
     the closed forms used by the solver.  Returns the solve bundle's
     ``verification`` section: both gains, ``tolerance`` and ``is_equilibrium``
-    (both gains at most the tolerance, so a NaN gain is never an equilibrium).
+    (both gains at most the tolerance).  Wrap a plain vector in ``MixedStrategy``.
     """
-    pv, qv = _strategy_pair(p, q, len(profiles))
+    pv, qv = p.probs, q.probs
+    if len(pv) != len(profiles) or len(qv) != len(profiles):
+        raise DimensionError(
+            f"strategy lengths ({len(pv)}, {len(qv)}) do not match {len(profiles)} relays")
     assets = _checked_assets(profiles, params)
     # Per-unit payoffs of each pure deviation; the source's shared -p.A term
     # cancels in its gain.

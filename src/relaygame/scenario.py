@@ -309,10 +309,35 @@ def _specs(cls) -> tuple[_Spec, ...]:
 
 _TABLE = {cls: _specs(cls) for cls in (*SECTIONS.values(), RelayProfile, LinkModel)}
 
+#: Scenario fields apply_overrides may set (dotted paths into the scenario JSON).
+OVERRIDE_KEYS = frozenset(
+    ["name"] + [f"{key}.{spec.name}" for key, cls in SECTIONS.items() for spec in _TABLE[cls]])
 
-def field_names(cls) -> tuple[str, ...]:
-    """Wire names of a scenario dataclass's fields, in declaration order."""
-    return tuple(spec.name for spec in _TABLE[cls])
+
+def apply_overrides(data: dict, overrides: list[str]) -> dict:
+    """Set each ``KEY=VALUE`` (VALUE read as JSON, else kept as a string) in the
+    dict form ``data`` in place, creating a missing or null section; return it."""
+    _Node(data, "scenario")
+    for item in overrides:
+        if "=" not in item:
+            raise ValidationError(f"override {item!r} is not KEY=VALUE")
+        key, raw = item.split("=", 1)
+        key = key.strip()
+        if key not in OVERRIDE_KEYS:
+            raise ValidationError(
+                f"unknown override key {key!r}; allowed: {', '.join(sorted(OVERRIDE_KEYS))}")
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        *sections, leaf = key.split(".")
+        node = data
+        for part in sections:       # a null section counts as absent
+            if node.get(part) is None:
+                node[part] = {}
+            node = _Node(node[part], f"scenario.{part}").data
+        node[leaf] = value
+    return data
 
 
 def _read(node: _Node, cls, **defaults):

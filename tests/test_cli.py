@@ -14,7 +14,7 @@ from scipy import stats as scipy_stats
 
 from relaygame import cli, report, scenario
 from relaygame.channel import ber_end_to_end, packet_success
-from relaygame.cli import OVERRIDE_KEYS, main
+from relaygame.cli import main
 from relaygame.errors import RelayGameError
 from relaygame.report import (
     build_outage_crosscheck,
@@ -23,6 +23,7 @@ from relaygame.report import (
     build_sweep_n_report,
     bundle_to_json,
 )
+from relaygame.scenario import OVERRIDE_KEYS
 from relaygame.throughput import ArqMode, optimize_messages, throughput_for_mode, throughput_sr
 from test_bundles_pinned import PINNED
 

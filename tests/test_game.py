@@ -1,5 +1,7 @@
 """Game core: payoffs, partition, equilibrium and the deviation oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -114,9 +116,11 @@ def test_total_utilities_at_equilibrium(military):
 def test_total_utility_dimension_error(military_params):
     profiles = make_profiles([1.0, 0.5])
     with pytest.raises(DimensionError):
-        verify_equilibrium((1.0,), (0.5, 0.5), profiles, military_params)
+        verify_equilibrium(MixedStrategy((1.0,)), MixedStrategy((0.5, 0.5)),
+                           profiles, military_params)
     with pytest.raises(DimensionError):
-        verify_equilibrium((1.0, 0.0), (1.0,), profiles, military_params)
+        verify_equilibrium(MixedStrategy((1.0, 0.0)), MixedStrategy((1.0,)),
+                           profiles, military_params)
 
 
 def test_mixed_strategy_validation():
@@ -126,6 +130,8 @@ def test_mixed_strategy_validation():
         MixedStrategy((0.5, 0.6))            # sums past 1
     with pytest.raises(ValidationError):
         MixedStrategy((1.5, -0.5))           # entries off range
+    with pytest.raises(ValidationError, match="^strategy entry 0 "):
+        MixedStrategy((float("nan"), 1.0, 0.0, 0.0))
     with pytest.raises(DimensionError):
         MixedStrategy(())
 
@@ -255,6 +261,20 @@ def test_solve_refuses_a_source_deviation_to_an_excluded_relay():
         solve_equilibrium(make_profiles([2.0, 1.5, 1.0, 0.5]), params)
 
 
+def test_round_off_below_zero_snaps_to_zero():
+    # The raw closed form puts relay 2's attack probability at -4.4e-15: a hair
+    # below the boundary it sits on, so the solver reports exactly 0.0.
+    profiles = [RelayProfile(1, 2.0, 0.0), RelayProfile(2, 1.9, 0.0)]
+    params = GameParams(0.1, 0.0, 0.0, 4.0, 0.0, weight_info=1.0, weight_security=0.0)
+    sol = solve_equilibrium(profiles, params)
+    assert sol.attacker.probs == (0.9999999999999987, 0.0)
+    check = verify_equilibrium(sol.attacker, sol.source, profiles, params)
+    assert check["attacker_gain"] <= 1e-9 and check["source_gain"] <= 1e-9
+    # A little more monitoring cost and the same value is out of range, not snapped.
+    with pytest.raises(InfeasibleEquilibriumError, match=r"^relay 1: .* 1\.0128"):
+        solve_equilibrium(profiles, replace(params, monitor_cost=4.1))
+
+
 def test_indifference_invariants(military):
     sol = solve_equilibrium(military.profiles, military.game)
     params = military.game
@@ -300,14 +320,6 @@ def test_verify_flags_non_equilibrium(military):
     # Attacker stays indifferent against Q*, but the source now has a target.
     assert check["attacker_gain"] <= 1e-9
     assert check["source_gain"] > 1e-6
-    assert check["is_equilibrium"] is False
-
-
-def test_verify_calls_a_nan_gain_no_equilibrium(military):
-    sol = solve_equilibrium(military.profiles, military.game)
-    check = verify_equilibrium((float("nan"), 1.0, 0.0, 0.0), sol.source,
-                               military.profiles, military.game)
-    assert check["attacker_gain"] != check["attacker_gain"]      # NaN
     assert check["is_equilibrium"] is False
 
 

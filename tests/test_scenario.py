@@ -15,7 +15,6 @@ from relaygame.game import GameParams, RelayProfile
 from relaygame.scenario import (
     _TABLE,
     canonical_json,
-    field_names,
     load_scenario,
     presets,
     scenario_from_dict,
@@ -124,7 +123,8 @@ UNRANGED = {(RelayProfile, "id"), (SimConfig, "attacker_mode"), (SimConfig, "sou
 def test_validation_names_field_paths(military):
     covered = {(SECTION_CLASS[section], key)
                for section, fields in OUT_OF_RANGE.items() for key in fields}
-    assert covered == {(cls, name) for cls in _TABLE for name in field_names(cls)} - UNRANGED
+    assert covered == {(cls, spec.name) for cls, specs in _TABLE.items()
+                       for spec in specs} - UNRANGED
     for section, fields in OUT_OF_RANGE.items():
         for key, value in fields.items():
             data = scenario_to_dict(military)

@@ -57,6 +57,9 @@ FILES = {
     "latin1.json": '{"name": "café"}'.encode("latin-1"),
     "broken.json": b'{"name": ',
     "file": b"a regular file\n",
+    "listgame.json": json.dumps({**UNEQUAL, "game": [1]}).encode(),
+    "listroot.json": b"[1, 2]",
+    "nosim.json": json.dumps({k: v for k, v in UNEQUAL.items() if k != "sim"}).encode(),
 }
 
 COMMANDS = [
@@ -87,10 +90,23 @@ INVALID = [
     ["solve", "--scenario", "military", "--out", "file/out.json"],
 ]
 
+#: The presets listing and the --set/--seed edits of the scenario's dict form.
+EDITS = [
+    ["presets"],
+    ["solve", "--scenario", "military", "--set", "game.detect_rate"],
+    ["solve", "--scenario", "military", "--set", "bogus.key=1"],
+    ["solve", "--scenario", "listgame.json", "--set", "game.detect_rate=0.5"],
+    ["solve", "--scenario", "listroot.json"],
+    ["simulate", "--scenario", "nosim.json", "--seed", "4"],
+    ["simulate", "--scenario", "nosim.json", "--seed", "4", "--set", "sim.episodes=1000"],
+    ["sweep-auth", "--scenario", "military", "--grid", "x"],
+    ["sweep-auth", "--scenario", "military", "--set", "sim=null", "--simulate"],
+]
+
 ARGVS = [command + ["--scenario", scenario, "--format", fmt, "--out", f"out.{fmt}"]
          for scenario in ("military", "commercial", "unequal.json")
          for command in COMMANDS
-         for fmt in ("json", "csv")] + INVALID
+         for fmt in ("json", "csv")] + INVALID + EDITS
 
 
 def run(checkout: Path, cwd: Path, argv: list[str]) -> dict:
