@@ -323,6 +323,21 @@ def test_verify_flags_non_equilibrium(military):
     assert check["is_equilibrium"] is False
 
 
+def test_verify_calls_a_nan_gain_no_equilibrium(military):
+    sol = solve_equilibrium(military.profiles, military.game)
+    nan_probs = (float("nan"), 1.0, 0.0, 0.0)
+    # The public path refuses a NaN entry before the oracle sees it.
+    with pytest.raises(ValidationError, match="^strategy entry 0 "):
+        verify_equilibrium(MixedStrategy(nan_probs), sol.source,
+                           military.profiles, military.game)
+    # Handed one past that check, the oracle still reports no equilibrium.
+    unchecked = object.__new__(MixedStrategy)
+    object.__setattr__(unchecked, "probs", nan_probs)
+    check = verify_equilibrium(unchecked, sol.source, military.profiles, military.game)
+    assert check["attacker_gain"] != check["attacker_gain"]      # NaN
+    assert check["is_equilibrium"] is False
+
+
 def test_diagnostic_strategy_gap(military):
     """The offset-free variant misses P* by exactly the indifference constant."""
     params = military.game
