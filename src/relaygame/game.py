@@ -170,41 +170,35 @@ def partition_targets(profiles, params: GameParams) -> TargetPartition:
     the prefix threshold while asset_{m+1} does not; if even the largest asset
     fails that test the game has no proper sensible set and is degenerate.
     """
-    assets_by_pos = _checked_assets(profiles, params)
+    assets = _checked_assets(profiles, params)
     if 1.0 - params.attack_cost <= 0.0:
         raise DegenerateGameError(
             f"attack_cost={params.attack_cost} >= 1 leaves the target threshold undefined")
 
-    order = sorted(range(len(profiles)),
-                   key=lambda k: (-assets_by_pos[k], profiles[k].id))
-    assets = [assets_by_pos[k] for k in order]
-    ids = [profiles[k].id for k in order]
-    n = len(assets)
-
-    inv_sum = 1.0 / assets[0]
+    order = sorted(range(len(profiles)), key=lambda k: (-assets[k], profiles[k].id))
+    largest = assets[order[0]]
+    inv_sum = 1.0 / largest
     threshold = _prefix_threshold(1, inv_sum, params)
-    if not (assets[0] > threshold) or _is_quasi(assets[0], threshold):
+    if not (largest > threshold) or _is_quasi(largest, threshold):
         raise DegenerateGameError(
             "no sensible target set exists: even the largest combined asset "
-            f"({assets[0]}) does not exceed its own-prefix threshold ({threshold}); "
+            f"({largest}) does not exceed its own-prefix threshold ({threshold}); "
             "this happens e.g. when detect_rate is 0")
 
     m = 1
-    while m < n:
-        nxt = assets[m]
-        if nxt > threshold and not _is_quasi(nxt, threshold):
-            inv_sum += 1.0 / nxt
-            m += 1
-            threshold = _prefix_threshold(m, inv_sum, params)
-        else:
-            break
+    while (m < len(order) and (nxt := assets[order[m]]) > threshold
+           and not _is_quasi(nxt, threshold)):
+        inv_sum += 1.0 / nxt
+        m += 1
+        threshold = _prefix_threshold(m, inv_sum, params)
 
-    quasi = tuple(ids[k] for k in range(m, n) if _is_quasi(assets[k], threshold))
-    non = tuple(ids[k] for k in range(m, n) if not _is_quasi(assets[k], threshold))
+    quasi, non = [], []
+    for k in order[m:]:
+        (quasi if _is_quasi(assets[k], threshold) else non).append(profiles[k].id)
     return TargetPartition(
-        sensible=tuple(ids[:m]),
-        quasi_sensible=quasi,
-        non_sensible=non,
+        sensible=tuple(profiles[k].id for k in order[:m]),
+        quasi_sensible=tuple(quasi),
+        non_sensible=tuple(non),
         threshold=threshold,
     )
 
@@ -225,57 +219,52 @@ def solve_equilibrium(profiles, params: GameParams) -> EquilibriumSolution:
     silently misreport them.
     """
     partition = partition_targets(profiles, params)
-    assets = {pr.id: combined_asset(pr, params) for pr in profiles}
-    sensible = partition.sensible
+    assets = [combined_asset(pr, params) for pr in profiles]
+    position = {pr.id: k for k, pr in enumerate(profiles)}
+    sensible = [position[i] for i in partition.sensible]
     m = len(sensible)
 
     a = params.detect_rate
     ca = params.attack_cost
     bcf = params.false_alarm_rate * params.false_alarm_loss
     cm = params.monitor_cost
-    inv_sum = sum(1.0 / assets[i] for i in sensible)
+    inv_sum = sum(1.0 / assets[k] for k in sensible)
 
     lam_attacker = (m * (1.0 - ca) - 2.0 * a) / inv_sum
     lam_source = (2.0 * a + bcf - m * (bcf + cm)) / inv_sum
 
-    q_by_id = {i: (1.0 / (2.0 * a)) * (1.0 - ca - lam_attacker / assets[i])
-               for i in sensible}
-    p_by_id = {i: ((bcf + cm) + lam_source / assets[i]) / (2.0 * a + bcf)
-               for i in sensible}
-
     # Round-off correction only: values a hair past a boundary (the exact
     # closed forms sit on it, e.g. q = 1 for a lone sensible relay) snap back;
     # genuinely out-of-range values still raise rather than clamp.
-    def snapped(value: float, relay: int) -> float:
+    def snapped(value: float, k: int) -> float:
         if -1e-12 <= value < 0.0:
             return 0.0
         if 1.0 < value <= 1.0 + 1e-12:
             return 1.0
         if not 0.0 <= value <= 1.0:
             raise InfeasibleEquilibriumError(
-                f"relay {relay}: closed-form probability {value} leaves [0, 1]; "
+                f"relay {profiles[k].id}: closed-form probability {value} leaves [0, 1]; "
                 "parameters are outside the model's validity region")
         return value
 
-    q_by_id = {i: snapped(v, i) for i, v in q_by_id.items()}
-    p_by_id = {i: snapped(v, i) for i, v in p_by_id.items()}
+    q = [0.0] * len(profiles)
+    p = [0.0] * len(profiles)
+    for k in sensible:
+        q[k] = snapped((1.0 / (2.0 * a)) * (1.0 - ca - lam_attacker / assets[k]), k)
+    for k in sensible:
+        p[k] = snapped(((bcf + cm) + lam_source / assets[k]) / (2.0 * a + bcf), k)
     for i in partition.quasi_sensible + partition.non_sensible:
         # Source must not prefer an excluded relay over the common payoff.
-        if phi(assets[i], 0.0, params) > lam_source:
+        if phi(assets[position[i]], 0.0, params) > lam_source:
             raise InfeasibleEquilibriumError(
                 f"relay {i}: the source would deviate to this excluded relay "
                 "(monitoring/false-alarm burden too high for an equilibrium)")
 
-    p_vec = tuple(p_by_id.get(pr.id, 0.0) for pr in profiles)
-    q_vec = tuple(q_by_id.get(pr.id, 0.0) for pr in profiles)
-    per_relay = tuple(
-        _relay_utility(assets[pr.id], pi, qi, params)
-        for pr, pi, qi in zip(profiles, p_vec, q_vec)
-    )
+    per_relay = tuple(_relay_utility(ak, pk, qk, params) for ak, pk, qk in zip(assets, p, q))
     return EquilibriumSolution(
         partition=partition,
-        attacker=MixedStrategy(p_vec),
-        source=MixedStrategy(q_vec),
+        attacker=MixedStrategy(tuple(p)),
+        source=MixedStrategy(tuple(q)),
         lambda_attacker=lam_attacker,
         lambda_source=lam_source,
         per_relay=per_relay,
@@ -290,20 +279,18 @@ def diagnostic_attack_strategy(profiles, params: GameParams,
     Kept purely for diagnostic comparison: it does not equalize the source's
     per-unit-selection payoff and generally does not sum to one.
     """
-    assets = {pr.id: combined_asset(pr, params) for pr in profiles}
-    sensible = set(partition.sensible)
+    assets = [combined_asset(pr, params) for pr in profiles]
+    position = {pr.id: k for k, pr in enumerate(profiles)}
+    sensible = [position[i] for i in partition.sensible]
     m = len(sensible)
     bcf = params.false_alarm_rate * params.false_alarm_loss
     ratio = (bcf + params.monitor_cost) / (2.0 * params.detect_rate + bcf)
-    inv_sum = sum(1.0 / assets[i] for i in partition.sensible)
+    inv_sum = sum(1.0 / assets[k] for k in sensible)
 
-    out = []
-    for pr in profiles:
-        if pr.id in sensible:
-            base = 1.0 / (assets[pr.id] * inv_sum)
-            out.append(base - m * base * ratio)
-        else:
-            out.append(0.0)
+    out = [0.0] * len(profiles)
+    for k in sensible:
+        base = 1.0 / (assets[k] * inv_sum)
+        out[k] = base - m * base * ratio
     return tuple(out)
 
 
