@@ -240,6 +240,39 @@ def test_ber_diversity_matches_quadrature(snr_sd, snr_rd):
         ber_diversity_by_quadrature(snr_sd, snr_rd), abs=1e-9)
 
 
+#: Mean SNRs 10^(e/4) for e = -24 ... 24: 1e-6 to 1e6 in quarter decades.
+BER_GRID = [10.0 ** (e / 4) for e in range(-24, 25)]
+
+
+def mu_by_mpmath(snr: float) -> mpmath.mpf:
+    return mpmath.sqrt(mpmath.mpf(snr) / (1 + mpmath.mpf(snr)))
+
+
+def test_ber_direct_matches_mpmath():
+    # (1 - sqrt(s / (1 + s))) / 2 at 50 digits, where the code takes 1 - u by
+    # another route.
+    with mpmath.workdps(50):
+        for snr in BER_GRID:
+            exact = (1 - mu_by_mpmath(snr)) / 2
+            assert abs(ber_direct(snr) - exact) <= 1e-13 * exact, snr
+
+
+def test_ber_diversity_matches_mpmath():
+    # Simon and Alouini's difference form (1 - (b u_b - a u_a) / (b - a)) / 2
+    # where a != b and ((1 - u) / 2)^2 (2 + u) where a == b, at 50 digits: the
+    # code's product form shares neither.
+    pairs = [(a, b) for a in BER_GRID for b in BER_GRID] + [(a, a * (1 + 1e-9)) for a in BER_GRID]
+    with mpmath.workdps(50):
+        for a, b in pairs:
+            u_a, u_b = mu_by_mpmath(a), mu_by_mpmath(b)
+            if a == b:
+                exact = ((1 - u_a) / 2) ** 2 * (2 + u_a)
+            else:
+                ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+                exact = (1 - (mb * u_b - ma * u_a) / (mb - ma)) / 2
+            assert abs(ber_diversity(a, b) - exact) <= 1e-13 * exact, (a, b)
+
+
 def test_ber_diversity_continuity_at_equal_snrs():
     at_equal = ber_diversity(5.0, 5.0)
     assert math.isfinite(at_equal)

@@ -1,10 +1,12 @@
 """Game core: payoffs, partition, equilibrium and the deviation oracle."""
 
 from dataclasses import replace
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relaygame.errors import (
@@ -400,6 +402,150 @@ def test_scale_covariance(instance, c):
     for (ua, us), (ua_c, us_c) in zip(sol.per_relay, sol_c.per_relay):
         assert ua_c == pytest.approx(ua * c, rel=1e-9, abs=1e-12)
         assert us_c == pytest.approx(us * c, rel=1e-9, abs=1e-12)
+
+
+def payoff_matrices(assets, params, num=float):
+    """(attacker, source) payoffs of every pure pair (attacked relay i,
+    selected relay j), written cell by cell from the model in the number type
+    ``num``."""
+    a, ca, cm = (num(x) for x in (params.detect_rate, params.attack_cost, params.monitor_cost))
+    bcf = num(params.false_alarm_rate) * num(params.false_alarm_loss)
+    assets = [num(x) for x in assets]
+    att = [[(1 - 2 * a - ca) * a_i if i == j else (1 - ca) * a_i
+            for j in range(len(assets))] for i, a_i in enumerate(assets)]
+    src = [[-(1 - 2 * a + cm) * a_i if i == j else -a_i - (bcf + cm) * a_j
+            for j, a_j in enumerate(assets)] for i, a_i in enumerate(assets)]
+    return att, src
+
+
+def float_mix(payoff):
+    """The mix over the columns of the square ``payoff`` that pays every row the
+    same, and that value; None where the system is singular."""
+    k = len(payoff)
+    lhs = np.zeros((k + 1, k + 1))
+    lhs[:k, :k], lhs[:k, k], lhs[k, :k] = payoff, -1.0, 1.0
+    try:
+        solution = np.linalg.solve(lhs, np.eye(k + 1)[k])
+    except np.linalg.LinAlgError:
+        return None
+    return list(solution[:k]), solution[k]
+
+
+def exact_mix(payoff):
+    """``float_mix`` in exact arithmetic, by Gauss-Jordan elimination."""
+    k = len(payoff)
+    rows = [list(row) + [-1, 0] for row in payoff] + [[1] * k + [0, 1]]
+    for c in range(k + 1):
+        pivot = next((r for r in range(c, k + 1) if rows[r][c] != 0), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(k + 1):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    solution = [rows[r][k + 1] / rows[r][r] for r in range(k + 1)]
+    return solution[:k], solution[k]
+
+
+def equilibrium_on(att, src, rows, cols, mix, tol):
+    """(p, q, attacker value, source value) of the equilibrium whose supports are
+    ``rows`` (attacked relays) and ``cols`` (selected relays), or None.  ``mix``
+    solves both indifference systems; the mixes must be positive on their
+    supports and leave neither player a better pure reply, each within ``tol``."""
+    k = len(att)
+    mixes = (mix([[att[i][j] for j in cols] for i in rows]),
+             mix([[src[i][j] for i in rows] for j in cols]))
+    if None in mixes:
+        return None
+    (q_s, v_att), (p_s, v_src) = mixes
+    if min(p_s + q_s) <= -tol:
+        return None
+    p, q = [0] * k, [0] * k
+    for i, x in zip(rows, p_s):
+        p[i] = x
+    for j, x in zip(cols, q_s):
+        q[j] = x
+    if max(sum(x * y for x, y in zip(row, q)) for row in att) > v_att + tol:
+        return None
+    if max(sum(p[i] * src[i][j] for i in range(k)) for j in range(k)) > v_src + tol:
+        return None
+    return p, q, v_att, v_src
+
+
+def equal_support_equilibria(assets, params):
+    """Every equilibrium whose two supports have equal size, by support
+    enumeration (Porter, Nudelman and Shoham, "Simple search methods for
+    finding a Nash equilibrium", 2008), as (p, q, attacker value, source value,
+    attacker support, source support).  A float pass with a loose tolerance
+    picks the candidate supports and exact rational arithmetic decides, so
+    payoffs that differ only in their last bits still tell equilibria apart.
+    Shares no code with the solver."""
+    k = len(assets)
+    float_game = payoff_matrices(assets, params)
+    exact_game = payoff_matrices(assets, params, Fraction)
+    found = []
+    for size in range(1, k + 1):
+        for rows in combinations(range(k), size):
+            for cols in combinations(range(k), size):
+                if equilibrium_on(*float_game, rows, cols, float_mix, 1e-6) is None:
+                    continue
+                exact = equilibrium_on(*exact_game, rows, cols, exact_mix, 0)
+                if exact is not None:
+                    found.append((*exact, rows, cols))
+    return found
+
+
+@st.composite
+def wide_games(draw):
+    """Every rate and cost in [0, 1], K in 1-5 and distinct assets in [0.05, 4].
+
+    The detection rate starts at 1e-6: below about 1e-7 the solver's q loses
+    its normalization to round-off (see the expected failure below).  A tie
+    among the smallest assets makes one equilibrium per tied relay where the
+    closed form refuses, so the assets are distinct.
+    """
+    k = draw(st.integers(1, 5))
+    assets = draw(st.lists(st.floats(0.05, 4.0), min_size=k, max_size=k, unique=True))
+    params = GameParams(draw(st.floats(1e-6, 1.0)), *(draw(st.floats(0.0, 1.0)) for _ in range(4)))
+    return make_profiles(assets), params
+
+
+@given(wide_games())
+@example((make_profiles([1.0, 0.75, 0.5, 0.25]), GameParams(0.9, 0.05, 0.01, 0.01, 0.01)))
+@settings(max_examples=150, deadline=None)
+def test_support_enumeration_finds_one_equilibrium_and_the_solver_finds_it(game):
+    profiles, params = game
+    try:
+        partition = partition_targets(profiles, params)
+    except DegenerateGameError:
+        assume(False)    # C_a >= 1: a degenerate game, not one equilibrium
+    # An asset on the threshold admits a whole interval of attack probabilities.
+    assume(not partition.quasi_sensible)
+    assets = [combined_asset(pr, params) for pr in profiles]
+    found = equal_support_equilibria(assets, params)
+    assert len(found) == 1
+    p, q, v_att, v_src, rows, cols = found[0]
+    try:
+        sol = solve_equilibrium(profiles, params)
+    except InfeasibleEquilibriumError:
+        return           # the closed form's limit: the game still has its equilibrium
+    assert [float(x) for x in p] == pytest.approx(sol.attacker.probs, rel=0, abs=1e-9)
+    assert [float(x) for x in q] == pytest.approx(sol.source.probs, rel=0, abs=1e-9)
+    assert rows == tuple(k for k, x in enumerate(sol.attacker.probs) if x > 0)
+    assert cols == tuple(k for k, x in enumerate(sol.source.probs) if x > 0)
+    assert v_att == pytest.approx(sol.lambda_attacker, abs=1e-9)
+    assert v_src == pytest.approx(sol.lambda_source - np.dot(sol.attacker.probs, assets),
+                                  abs=1e-9)
+
+
+@pytest.mark.xfail(raises=ValidationError, strict=True,
+                   reason="q = (1 - C_a - lambda/A)/(2a) cancels as the detection rate nears 0")
+def test_solve_a_lone_relay_at_a_tiny_detection_rate():
+    # Attacking and selecting the only relay is the equilibrium for any a > 0,
+    # but the computed q is 0.99999997, which fails MixedStrategy's sum check.
+    sol = solve_equilibrium(make_profiles([0.328125]), GameParams(1e-9, 0.0, 0.0, 0.0, 0.0))
+    assert sol.attacker.probs == sol.source.probs == (1.0,)
 
 
 def test_duplicate_ids_rejected(military_params):

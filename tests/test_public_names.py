@@ -5,6 +5,10 @@ A public module-level function or class, or a public method or property, of
 ``src/relaygame`` must be named as a whole word somewhere in the library
 (outside ``__init__.py`` and outside its own definition), in ``bench/`` or in
 ``tools/``.  A name that only the tests use is code kept for the tests.
+``bench/spans.py`` does not count: its ``TRACED`` list times a name when
+something calls it, so a mention there keeps nothing alive.  The names it alone
+mentions are listed in ``TRACER_ONLY``, so a new one fails and so does a stale
+entry.
 """
 
 import ast
@@ -13,11 +17,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "relaygame"
+TRACER = ROOT / "bench" / "spans.py"
+
+#: Public names with no caller: only the tracer's list mentions them.
+TRACER_ONLY = {"throughput.optimize_messages", "throughput.throughput_general"}
 
 
 def sources() -> dict[Path, list[str]]:
     files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    files += sorted((ROOT / "bench").rglob("*.py")) + sorted((ROOT / "tools").rglob("*.py"))
+    files += [p for p in sorted((ROOT / "bench").rglob("*.py")) if p != TRACER]
+    files += sorted((ROOT / "tools").rglob("*.py"))
     return {p: p.read_text().splitlines() for p in files}
 
 
@@ -48,7 +57,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                         if not (other == path and first <= k <= last))
             if not named:
                 unused.append(f"{path.stem}.{qualname}")
-    assert unused == []
+    assert set(unused) == TRACER_ONLY
 
 
 def readme_library_imports() -> set[str]:

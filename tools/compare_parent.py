@@ -51,9 +51,16 @@ UNEQUAL = {
     "sim": {"episodes": 100000, "packets_per_episode": 2, "seed": 5},
 }
 
+#: UNEQUAL with relay 3 given relay 2's assets, so that the tie is broken by
+#: id, and the relays listed in id order 3, 1, 4, 2.
+SHUFFLED = {**UNEQUAL, "name": "shuffled", "relays": [
+    {**UNEQUAL["relays"][2], "info_asset": 0.8, "sec_asset": 0.7},
+    UNEQUAL["relays"][0], UNEQUAL["relays"][3], UNEQUAL["relays"][1]]}
+
 #: Files written into every working directory before its run.
 FILES = {
     "unequal.json": json.dumps(UNEQUAL, indent=1).encode(),
+    "shuffled.json": json.dumps(SHUFFLED, indent=1).encode(),
     "latin1.json": '{"name": "café"}'.encode("latin-1"),
     "broken.json": b'{"name": ',
     "file": b"a regular file\n",
@@ -82,6 +89,10 @@ INVALID = [
     ["solve", "--scenario", "broken.json"],
     ["solve", "--scenario", "military", "--set", "game.detect_rate=2"],
     ["solve", "--scenario", "military", "--set", "game.monitor_cost=50"],
+    ["solve", "--scenario", "military", "--set", "game.detect_rate=0"],
+    ["solve", "--scenario", "military", "--set", "game.attack_cost=1"],
+    ["solve", "--scenario", "military", "--set", "game.detect_rate=0.001"],
+    ["solve", "--scenario", "military", "--set", "game.monitor_cost=5"],
     ["sweep-n", "--scenario", "military", "--n-max", "0"],
     ["outage-check", "--scenario", "military", "--seed", "-1"],
     ["solve", "--scenario", "."],
@@ -103,10 +114,19 @@ EDITS = [
     ["sweep-auth", "--scenario", "military", "--set", "sim=null", "--simulate"],
 ]
 
+#: The shuffled relay order through every part of the program that reads it.
+REORDERED = [command + ["--scenario", "shuffled.json", "--out", "out.json"] for command in [
+    ["solve", "--diagnostics"],
+    ["sweep-n", "--arq", "gbn"],
+    ["sweep-auth", "--simulate", "--seed", "3"],
+    ["simulate", "--auth-policy"],
+    ["outage-check", "--trials", "20000", "--seed", "7"],
+]]
+
 ARGVS = [command + ["--scenario", scenario, "--format", fmt, "--out", f"out.{fmt}"]
          for scenario in ("military", "commercial", "unequal.json")
          for command in COMMANDS
-         for fmt in ("json", "csv")] + INVALID + EDITS
+         for fmt in ("json", "csv")] + INVALID + EDITS + REORDERED
 
 
 def run(checkout: Path, cwd: Path, argv: list[str]) -> dict:
