@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Sequence
 
 from . import __version__
@@ -60,6 +60,12 @@ def provenance(scenario: Scenario, seed: int | None = None) -> dict:
     }
 
 
+def _bundle(report: str, scenario: Scenario, sections: dict, seed: int | None = None) -> dict:
+    """The bundle named ``report``: its provenance, ``sections``, then the scenario's annotations."""
+    return {"report": report, "provenance": provenance(scenario, seed), **sections,
+            "annotations": list(scenario.annotations)}
+
+
 def equilibrium_table(scenario: Scenario) -> list[dict]:
     solution = scenario.solution
     part = solution.partition
@@ -95,35 +101,26 @@ def channel_table(scenario: Scenario) -> list[dict]:
 def build_solve_report(scenario: Scenario, diagnostics: bool = False) -> dict:
     """Equilibrium bundle: partition, strategies, utilities, verification."""
     solution = scenario.solution
-    bundle = {
-        "report": "solve",
-        "provenance": provenance(scenario),
-        "partition": {
-            "sensible": list(solution.partition.sensible),
-            "quasi_sensible": list(solution.partition.quasi_sensible),
-            "non_sensible": list(solution.partition.non_sensible),
-            "threshold": solution.partition.threshold,
-        },
+    sections = {
+        "partition": asdict(solution.partition),
         "lambda_attacker": solution.lambda_attacker,
         "lambda_source": solution.lambda_source,
         "equilibrium": equilibrium_table(scenario),
         "verification": verify_equilibrium(
             solution.attacker, solution.source, scenario.profiles, scenario.game),
         "channel": channel_table(scenario),
-        "annotations": list(scenario.annotations),
     }
     if diagnostics:
-        bundle["diagnostic_attack_strategy"] = list(diagnostic_attack_strategy(
+        sections["diagnostic_attack_strategy"] = list(diagnostic_attack_strategy(
             scenario.profiles, scenario.game, solution.partition))
-    return bundle
+    return _bundle("solve", scenario, sections)
 
 
 def build_sweep_n_report(scenario: Scenario, n_values: Sequence[int], arq: ArqMode) -> dict:
     """Rows and optimum from one walk of 1..max(n_values); rows <= 0 are emitted but flagged."""
     if len(n_values) == 0:
         raise ValidationError("message-count range must not be empty")
-    for n in n_values:
-        check_range("message count", n, 1)
+    check_range("message count", min(n_values), 1)
     p_c = scenario.p_c[scenario.conditioning]
     cfg = scenario.throughput
     sweep = sweep_messages(cfg, max(n_values), arq, p_c)
@@ -134,15 +131,12 @@ def build_sweep_n_report(scenario: Scenario, n_values: Sequence[int], arq: ArqMo
         optimal = {"n": n_star, "throughput": best}
     except NoFeasibleMessageCountError as exc:
         optimal = {"n": None, "throughput": None, "note": str(exc)}
-    return {
-        "report": "sweep-n",
-        "provenance": provenance(scenario),
+    return _bundle("sweep-n", scenario, {
         "arq": arq.value,
         "packet_success": p_c,
         "rows": rows,
         "optimal": optimal,
-        "annotations": list(scenario.annotations),
-    }
+    })
 
 
 def _scenario_sim(scenario: Scenario) -> SimConfig:
@@ -189,15 +183,12 @@ def build_sweep_auth_report(
             row["compromise_empirical"] = empirical
             row["compromise_stderr"] = stderr
 
-    return {
-        "report": "sweep-auth",
-        "provenance": provenance(scenario, seed=seed),
+    return _bundle("sweep-auth", scenario, {
         "conditioning_relay": scenario.ids[j],
         "attack_prob_conditioning": p_star,
         "packet_success": p_c,
         "rows": rows,
-        "annotations": list(scenario.annotations),
-    }
+    }, seed)
 
 
 def build_simulation_report(scenario: Scenario, auth_policy: bool = False) -> dict:
@@ -212,19 +203,16 @@ def build_simulation_report(scenario: Scenario, auth_policy: bool = False) -> di
     if auth_policy:
         sim = replace(sim, auth_prob=policy)
     simulation = run_simulation(scenario, sim, solution)
-    return {
-        "report": "simulate",
-        "provenance": provenance(scenario, seed=sim.seed),
+    return _bundle("simulate", scenario, {
         "equilibrium": equilibrium_table(scenario),
         "channel": channel_table(scenario),
         "security": {
-            "max_compromised_fraction": scenario.security.max_compromised_fraction,
+            **asdict(scenario.security),
             "min_auth_prob_by_relay": {str(k): v for k, v in sorted(policy.items())},
             "auth_policy_applied": auth_policy,
         },
         "simulation": simulation,
-        "annotations": list(scenario.annotations),
-    }
+    }, sim.seed)
 
 
 def _crosscheck(closed_form: float, monte_carlo: float, trials: int) -> tuple[float | None, bool]:
@@ -259,14 +247,15 @@ def build_outage_crosscheck(scenario: Scenario, trials: int = 1_000_000, seed: i
             "z": z,
             "within_band": within,
         })
+    all_within = all(r["within_band"] for r in rows)
     return {
         "report": "outage-crosscheck",
         "provenance": provenance(scenario, seed=seed),
         "trials": trials,
         "z_bound": CROSSCHECK_Z_BOUND,
         "rows": rows,
-        "all_within_band": all(r["within_band"] for r in rows),
-        "note": None if all(r["within_band"] for r in rows) else (
+        "all_within_band": all_within,
+        "note": None if all_within else (
             f"a simulated outage count is rarer at the closed form than {CROSSCHECK_Z_BOUND:g} "
             "standard errors out; check the fading convention in the provenance block"),
     }

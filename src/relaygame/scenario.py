@@ -364,7 +364,7 @@ def _write(obj) -> dict:
 
 def scenario_from_dict(data: dict) -> Scenario:
     root = _Node(data, "scenario")
-    version = root.require("schema_version")
+    version = root.integer("schema_version")
     if version != SCHEMA_VERSION:
         raise ValidationError(
             f"scenario.schema_version: unsupported version {version!r} "
@@ -386,15 +386,20 @@ def scenario_from_dict(data: dict) -> Scenario:
     sections = {key: _read(root.child(key), cls) for key, cls in SECTIONS.items()
                 if key != "sim" or data.get(key) is not None}
 
-    annotations = data.get("annotations", [])
+    annotations = data.get("annotations")
+    if annotations is None:     # an explicit null counts as absent, as for every field
+        annotations = []
     if not isinstance(annotations, list):
         raise ValidationError("scenario.annotations: expected an array of strings")
+    for k, note in enumerate(annotations):
+        if not isinstance(note, str):
+            raise ValidationError(f"scenario.annotations[{k}]: expected a string, got {note!r}")
 
     return Scenario(
         name=root.checked("name", "unnamed", lambda v: isinstance(v, str), "a string"),
         profiles=tuple(profiles.values()),
         links=tuple(links),
-        annotations=tuple(str(a) for a in annotations),
+        annotations=tuple(annotations),
         **sections,
     )
 

@@ -15,7 +15,7 @@ from scipy import stats as scipy_stats
 from relaygame import cli, report, scenario
 from relaygame.channel import ber_end_to_end, packet_success
 from relaygame.cli import main
-from relaygame.errors import RelayGameError
+from relaygame.errors import RelayGameError, ValidationError
 from relaygame.report import (
     build_outage_crosscheck,
     build_solve_report,
@@ -353,6 +353,12 @@ def test_sweep_n_flags_nonpositive_rows(military):
     bundle = build_sweep_n_report(military, range(30, 37), ArqMode.GENERAL)
     flags = {r["n"]: r["plot_omitted"] for r in bundle["rows"]}
     assert not flags[32] and flags[33]  # payload cutoff
+
+
+def test_sweep_n_refuses_a_zero_count_inside_a_list(military):
+    # Unchecked, row n = 0 would read sweep[-1], the last row.
+    with pytest.raises(ValidationError, match=r"message count must be >= 1, got 0"):
+        build_sweep_n_report(military, [5, 0], ArqMode.SR)
 
 
 def test_sweep_auth_columns(military):

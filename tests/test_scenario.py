@@ -172,6 +172,42 @@ def test_schema_version_checked(military):
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("version,message", [
+    (True, "expected an integer, got True"),
+    (1.0, "expected an integer, got 1.0"),
+    ("1", "expected an integer, got '1'"),
+    (None, "missing required field"),
+])
+def test_schema_version_must_be_a_json_integer(military, version, message):
+    data = scenario_to_dict(military)
+    data["schema_version"] = version
+    with pytest.raises(ValidationError, match=rf"^scenario\.schema_version: {re.escape(message)}$"):
+        scenario_from_dict(data)
+
+
+def test_null_annotations_count_as_absent(military):
+    data = scenario_to_dict(military)
+    data["annotations"] = None
+    loaded = scenario_from_dict(data)
+    assert loaded.annotations == ()
+    del data["annotations"]
+    assert scenario_hash(loaded) == scenario_hash(scenario_from_dict(data))
+
+
+@pytest.mark.parametrize("annotations,message", [
+    ([1, None], r"scenario\.annotations\[0\]: expected a string, got 1$"),
+    (["kept", None], r"scenario\.annotations\[1\]: expected a string, got None$"),
+    (["kept", ["nested"]], r"scenario\.annotations\[1\]: expected a string, got \['nested'\]$"),
+    ("", r"scenario\.annotations: expected an array of strings$"),
+    (0, r"scenario\.annotations: expected an array of strings$"),
+])
+def test_annotations_must_be_an_array_of_strings(military, annotations, message):
+    data = scenario_to_dict(military)
+    data["annotations"] = annotations
+    with pytest.raises(ValidationError, match=message):
+        scenario_from_dict(data)
+
+
 def test_bad_json_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -67,6 +67,9 @@ FILES = {
     "listgame.json": json.dumps({**UNEQUAL, "game": [1]}).encode(),
     "listroot.json": b"[1, 2]",
     "nosim.json": json.dumps({k: v for k, v in UNEQUAL.items() if k != "sim"}).encode(),
+    "nullnotes.json": json.dumps({**UNEQUAL, "annotations": None}).encode(),
+    "intnote.json": json.dumps({**UNEQUAL, "annotations": ["kept", 1]}).encode(),
+    "boolversion.json": json.dumps({**UNEQUAL, "schema_version": True}).encode(),
 }
 
 COMMANDS = [
@@ -123,10 +126,19 @@ REORDERED = [command + ["--scenario", "shuffled.json", "--out", "out.json"] for 
     ["outage-check", "--trials", "20000", "--seed", "7"],
 ]]
 
+#: The scenario's top-level fields: a null annotations list reads as absent,
+#: a non-string annotation and a boolean schema version are refused.
+LOADER = [
+    ["solve", "--scenario", "nullnotes.json", "--out", "out.json"],
+    ["simulate", "--scenario", "nullnotes.json", "--out", "out.json"],
+    ["solve", "--scenario", "intnote.json"],
+    ["solve", "--scenario", "boolversion.json"],
+]
+
 ARGVS = [command + ["--scenario", scenario, "--format", fmt, "--out", f"out.{fmt}"]
          for scenario in ("military", "commercial", "unequal.json")
          for command in COMMANDS
-         for fmt in ("json", "csv")] + INVALID + EDITS + REORDERED
+         for fmt in ("json", "csv")] + INVALID + EDITS + REORDERED + LOADER
 
 
 def run(checkout: Path, cwd: Path, argv: list[str]) -> dict:
