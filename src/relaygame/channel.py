@@ -49,8 +49,12 @@ class LinkModel:
     def __post_init__(self) -> None:
         check_range("target_rate", self.target_rate, 0.0, MAX_TARGET_RATE, hi_open=True)
         check_range("pathloss_exp", self.pathloss_exp, 0.0)
-        for name in ("snr_avg", "snr_sd", "snr_sr", "snr_rd", "dist_sr", "dist_rd"):
-            check_range(name, getattr(self, name), 0.0, lo_open=True)
+        check_range("snr_avg", self.snr_avg, 0.0, lo_open=True)
+        check_range("snr_sd", self.snr_sd, 0.0, lo_open=True)
+        check_range("snr_sr", self.snr_sr, 0.0, lo_open=True)
+        check_range("snr_rd", self.snr_rd, 0.0, lo_open=True)
+        check_range("dist_sr", self.dist_sr, 0.0, lo_open=True)
+        check_range("dist_rd", self.dist_rd, 0.0, lo_open=True)
         for name, dist in (("dist_sr", self.dist_sr), ("dist_rd", self.dist_rd)):
             try:    # float ** raises OverflowError where it would give inf
                 scales = min(dist ** self.pathloss_exp, dist ** -self.pathloss_exp) > 0.0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
 from typing import Sequence
 
 from . import __version__
@@ -66,6 +66,11 @@ def _bundle(report: str, scenario: Scenario, sections: dict, seed: int | None = 
             "annotations": list(scenario.annotations)}
 
 
+def _fields(obj) -> dict:
+    """The fields of the dataclass instance ``obj`` by name, their values not copied."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def equilibrium_table(scenario: Scenario) -> list[dict]:
     solution = scenario.solution
     part = solution.partition
@@ -102,7 +107,7 @@ def build_solve_report(scenario: Scenario, diagnostics: bool = False) -> dict:
     """Equilibrium bundle: partition, strategies, utilities, verification."""
     solution = scenario.solution
     sections = {
-        "partition": asdict(solution.partition),
+        "partition": _fields(solution.partition),
         "lambda_attacker": solution.lambda_attacker,
         "lambda_source": solution.lambda_source,
         "equilibrium": equilibrium_table(scenario),
@@ -207,7 +212,7 @@ def build_simulation_report(scenario: Scenario, auth_policy: bool = False) -> di
         "equilibrium": equilibrium_table(scenario),
         "channel": channel_table(scenario),
         "security": {
-            **asdict(scenario.security),
+            **_fields(scenario.security),
             "min_auth_prob_by_relay": {str(k): v for k, v in sorted(policy.items())},
             "auth_policy_applied": auth_policy,
         },

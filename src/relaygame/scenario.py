@@ -86,7 +86,9 @@ class Scenario:
 
     @functools.cached_property
     def _hash(self) -> str:
-        return hashlib.sha256(canonical_json(scenario_to_dict(self)).encode()).hexdigest()
+        # scenario_from_dict fills this from the dict it read; a scenario built
+        # in code, such as a dataclasses.replace copy, is written out here.
+        return _digest(scenario_to_dict(self))
 
     @functools.cached_property
     def solution(self) -> EquilibriumSolution:
@@ -197,8 +199,17 @@ class _Node:
     def wrong(self, key: str, expected: str, value) -> ValidationError:
         return ValidationError(f"{self.path}.{key}: expected {expected}, got {value!r}")
 
+    def only(self, known: frozenset) -> None:
+        """Refuse a key outside ``known``, so a misspelled field is not read
+        as its default."""
+        if not self.data.keys() <= known:
+            key = next(k for k in self.data if k not in known)
+            raise ValidationError(f"{self.path}.{key}: unknown field")
+
     def number(self, key: str, default=_REQUIRED) -> float | None:
         value = self.data.get(key)
+        if type(value) is float and value - value == 0.0:     # finite: nan and inf give nan
+            return value
         if value is None:
             return self.absent(key, default)
         if not (math.isfinite(value) if isinstance(value, float)
@@ -219,23 +230,6 @@ class _Node:
 
     def boolean(self, key: str, default=_REQUIRED) -> bool:
         return self.checked(key, default, lambda v: isinstance(v, bool), "a boolean")
-
-    def snr(self, key: str, default=_REQUIRED) -> float:
-        """Linear value from either ``key`` or ``key_db`` (never both)."""
-        has_db = self.data.get(f"{key}_db") is not None
-        if not has_db:
-            if self.data.get(key) is None:
-                raise ValidationError(
-                    f"{self.path}.{key}: missing required field ({key} or {key}_db)")
-            return self.number(key)
-        if self.data.get(key) is not None:
-            raise ValidationError(f"{self.path}.{key}: give either {key} or {key}_db, not both")
-        value_db = self.number(f"{key}_db")
-        try:
-            return db_to_linear(value_db)
-        except OverflowError:
-            raise ValidationError(
-                f"{self.path}.{key}_db: {value_db} dB overflows a float") from None
 
     def auth_prob(self, key: str, default=_REQUIRED):
         """One probability, or an object mapping relay ids to probabilities."""
@@ -270,6 +264,27 @@ def _choice(kind: type[enum.Enum]):
     return read
 
 
+def _snr(key: str):
+    """Reader of the linear value of ``key``, given as ``key`` or ``key_db`` (never both)."""
+    key_db = f"{key}_db"
+
+    def read(node: _Node, key: str, default=_REQUIRED) -> float:
+        if node.data.get(key_db) is None:
+            if node.data.get(key) is None:
+                raise ValidationError(
+                    f"{node.path}.{key}: missing required field ({key} or {key_db})")
+            return node.number(key)
+        if node.data.get(key) is not None:
+            raise ValidationError(f"{node.path}.{key}: give either {key} or {key_db}, not both")
+        value_db = node.number(key_db)
+        try:
+            return db_to_linear(value_db)
+        except OverflowError:
+            raise ValidationError(
+                f"{node.path}.{key_db}: {value_db} dB overflows a float") from None
+    return read
+
+
 def _dump_auth(auth):
     return {str(k): v for k, v in sorted(auth.items())} if isinstance(auth, dict) else auth
 
@@ -278,9 +293,9 @@ def _dump_auth(auth):
 #: form.  The last wire-only fact, a relay id defaulting to the relay's
 #: position, is passed by scenario_from_dict.  Ranges are the dataclasses'
 #: own, reported under the field's path.
+_SNR_FIELDS = ("snr_avg", "snr_sd", "snr_sr", "snr_rd")
 _WIRE = {
-    **{(LinkModel, name): (_Node.snr, None)
-       for name in ("snr_avg", "snr_sd", "snr_sr", "snr_rd")},
+    **{(LinkModel, name): (_snr(name), None) for name in _SNR_FIELDS},
     (SimConfig, "auth_prob"): (_Node.auth_prob, _dump_auth),
 }
 
@@ -308,6 +323,13 @@ def _specs(cls) -> tuple[_Spec, ...]:
 
 
 _TABLE = {cls: _specs(cls) for cls in (*SECTIONS.values(), RelayProfile, LinkModel)}
+
+#: Keys each JSON object may hold: its table fields, the _db SNR aliases, a
+#: relay entry's link, and at the top level the scenario's own fields.
+_KNOWN = {cls: frozenset(spec.name for spec in specs) for cls, specs in _TABLE.items()}
+_KNOWN[LinkModel] |= {f"{name}_db" for name in _SNR_FIELDS}
+_KNOWN[RelayProfile] |= {"link"}
+_KNOWN[Scenario] = frozenset(("schema_version", "name", "relays", "annotations", *SECTIONS))
 
 #: Scenario fields apply_overrides may set (dotted paths into the scenario JSON).
 OVERRIDE_KEYS = frozenset(
@@ -340,12 +362,19 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
     return data
 
 
-def _read(node: _Node, cls, **defaults):
-    values = {}
-    for name, read, _, default in _TABLE[cls]:
-        values[name] = read(node, name, defaults.get(name, default) if defaults else default)
+def _read(node: _Node, cls, **defaults) -> tuple[object, dict]:
+    """An instance of ``cls`` from ``node``, and its JSON object as _write
+    writes it, made from the same values."""
+    node.only(_KNOWN[cls])
+    values, wire = {}, {}
+    for name, read, write, default in _TABLE[cls]:
+        if defaults:
+            default = defaults.get(name, default)
+        value = values[name] = read(node, name, default)
+        if value is not None:
+            wire[name] = write(value) if write else value
     try:
-        return cls(**values)
+        return cls(**values), wire
     except ValidationError as exc:
         if exc.field is None:
             raise ValidationError(f"{node.path}: {exc}") from exc
@@ -363,28 +392,35 @@ def _write(obj) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    """Read and check the dict form; the scenario's hash is taken from the
+    values read, laid out as scenario_to_dict lays them out."""
     root = _Node(data, "scenario")
     version = root.integer("schema_version")
     if version != SCHEMA_VERSION:
         raise ValidationError(
             f"scenario.schema_version: unsupported version {version!r} "
             f"(this build reads {SCHEMA_VERSION})")
+    root.only(_KNOWN[Scenario])
 
     relays = root.require("relays")
     if not isinstance(relays, list) or not relays:
         raise ValidationError("scenario.relays: expected a non-empty array")
-    profiles, links = {}, []     # profiles by relay id, in file order
+    profiles, links, wire_relays = {}, [], []     # profiles by relay id, in file order
     for k, entry in enumerate(relays):
         node = _Node(entry, f"scenario.relays[{k}]")
-        profile = _read(node, RelayProfile, id=k + 1)
+        profile, wire = _read(node, RelayProfile, id=k + 1)
         if profile.id in profiles:
             raise ValidationError(f"{node.path}.id: duplicate relay id {profile.id}")
         profiles[profile.id] = profile
-        links.append(_read(node.child("link"), LinkModel))
+        link, wire["link"] = _read(node.child("link"), LinkModel)
+        links.append(link)
+        wire_relays.append(wire)
 
     # The sim section is optional; the others are required.
-    sections = {key: _read(root.child(key), cls) for key, cls in SECTIONS.items()
-                if key != "sim" or data.get(key) is not None}
+    sections, wire_sections = {}, {}
+    for key, cls in SECTIONS.items():
+        if key != "sim" or data.get(key) is not None:
+            sections[key], wire_sections[key] = _read(root.child(key), cls)
 
     annotations = data.get("annotations")
     if annotations is None:     # an explicit null counts as absent, as for every field
@@ -395,13 +431,22 @@ def scenario_from_dict(data: dict) -> Scenario:
         if not isinstance(note, str):
             raise ValidationError(f"scenario.annotations[{k}]: expected a string, got {note!r}")
 
-    return Scenario(
-        name=root.checked("name", "unnamed", lambda v: isinstance(v, str), "a string"),
+    name = root.checked("name", "unnamed", lambda v: isinstance(v, str), "a string")
+    scenario = Scenario(
+        name=name,
         profiles=tuple(profiles.values()),
         links=tuple(links),
         annotations=tuple(annotations),
         **sections,
     )
+    scenario.__dict__["_hash"] = _digest({     # the cache of the frozen dataclass
+        "schema_version": SCHEMA_VERSION,
+        "name": name,
+        "relays": wire_relays,
+        "annotations": annotations,
+        **wire_sections,
+    })
+    return scenario
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -419,10 +464,18 @@ def scenario_to_dict(s: Scenario) -> dict:
     return out
 
 
+# Shared, so that no call builds an encoder.  Without the circular check: every
+# document written is a tree the program builds, and a cycle, a bug, would end
+# in a RecursionError and so in the CLI's unexpected-error exit.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
+                            check_circular=False)
+
+
 def canonical_json(data: dict) -> str:
-    """Strict JSON, keys sorted; a NaN or infinity is an error naming its path."""
+    """Strict JSON, keys sorted; a NaN or infinity is an error naming its path.
+    Not checked for cycles: ``data`` must be a tree, as every bundle is."""
     try:
-        return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        return _ENCODER.encode(data)
     except ValueError:
         path, value = _nonfinite(data, "")
         raise RelayGameError(f"{path}: {value} has no strict JSON form") from None
@@ -440,6 +493,10 @@ def _nonfinite(node, path: str) -> tuple[str, float] | None:
     else:
         return None
     return next(filter(None, (_nonfinite(v, sub) for sub, v in items)), None)
+
+
+def _digest(data: dict) -> str:
+    return hashlib.sha256(canonical_json(data).encode()).hexdigest()
 
 
 def scenario_hash(s: Scenario) -> str:

@@ -23,6 +23,12 @@ from dataclasses import dataclass
 from .errors import NoFeasibleMessageCountError, ValidationError, check_range
 
 
+#: Bound of the integer fields that enter float arithmetic (the bit counts, the
+#: message count and the window): up to 2^53 every integer is exact as a float,
+#: and its product with a message count stays finite.
+_MAX_COUNT = 2 ** 53
+
+
 class ArqMode(enum.Enum):
     GENERAL = "general"
     SR = "sr"
@@ -52,9 +58,9 @@ class ThroughputConfig:
     def __post_init__(self) -> None:
         # One direct call per field.  Sweeps over n evaluate without copying
         # the config, so these run once per config built, not once per n.
-        check_range("packet_bits", self.packet_bits, 0, lo_open=True)
-        check_range("hash_bits", self.hash_bits, 0, lo_open=True)
-        check_range("n_messages", self.n_messages, 1)
+        check_range("packet_bits", self.packet_bits, 0, _MAX_COUNT, lo_open=True)
+        check_range("hash_bits", self.hash_bits, 0, _MAX_COUNT, lo_open=True)
+        check_range("n_messages", self.n_messages, 1, _MAX_COUNT)
         check_range("auth_prob", self.auth_prob, 0.0, 1.0)
         check_range("presig_time", self.presig_time, 0.0)
         if self.transfer_time is not None:
@@ -64,9 +70,13 @@ class ThroughputConfig:
         if self.reaction_time is not None:
             check_range("reaction_time", self.reaction_time, 0.0, lo_open=True)
         if self.window is not None:
-            check_range("window", self.window, 1)
+            check_range("window", self.window, 1, _MAX_COUNT)
         if (self.transfer_time is None) == (self.data_rate is None):
             raise ValidationError("give exactly one of transfer_time or data_rate")
+        if (self.window is None and self.data_rate is not None
+                and self.reaction_time is not None and math.isinf(self.data_rate * self.reaction_time)):
+            raise ValidationError(f"data_rate x reaction_time must be finite, got "
+                                  f"{self.data_rate} x {self.reaction_time}", field="data_rate")
 
     @property
     def timing_model(self) -> str:

@@ -5,7 +5,7 @@ import json
 import math
 import os
 import stat
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from relaygame.cli import main
 from relaygame.errors import RelayGameError, ValidationError
 from relaygame.report import (
     build_outage_crosscheck,
+    build_simulation_report,
     build_solve_report,
     build_sweep_auth_report,
     build_sweep_n_report,
@@ -211,10 +212,28 @@ def _three_relays_one_on_the_threshold(data):
     (["outage-check", "--trials", str(10 ** 20)], None,
      2, f"trials must be in [1, {2 ** 63:g}), got {10 ** 20}"),
     (["solve"], _three_relays_one_on_the_threshold, 0, "quasi-sensible"),
+    (["simulate"], lambda d: d["sim"].update(episods=5), 2, "scenario.sim.episods: unknown field"),
+    (["solve"], lambda d: d.update(extra=1), 2, "scenario.extra: unknown field"),
+    (["solve"], lambda d: d["relays"][2]["link"].update(snr_db=10.0),
+     2, "scenario.relays[2].link.snr_db: unknown field"),
+    (["solve", "--set", f"throughput.packet_bits={10 ** 321}"], None,
+     2, f"scenario.throughput.packet_bits must be in (0, {2 ** 53:g}], got {10 ** 321}"),
+    (["sweep-n", "--set", f"throughput.hash_bits={10 ** 321}"], None,
+     2, f"scenario.throughput.hash_bits must be in (0, {2 ** 53:g}], got {10 ** 321}"),
+    (["sweep-auth", "--set", f"throughput.n_messages={2 ** 53 + 1}"], None,
+     2, f"scenario.throughput.n_messages must be in [1, {2 ** 53:g}], got {2 ** 53 + 1}"),
+    (["sweep-n", "--arq", "gbn", "--set", f"throughput.window={10 ** 321}"], None,
+     2, f"scenario.throughput.window must be in [1, {2 ** 53:g}], got {10 ** 321}"),
+    (["sweep-n", "--arq", "gbn", "--set", "throughput.data_rate=1e308",
+      "--set", "throughput.reaction_time=1e10"], None,
+     2, "scenario.throughput.data_rate x reaction_time must be finite, got 1e+308 x 10000000000.0"),
 ], ids=["override-without-value", "override-kept-as-string", "link-without-snr-sr",
         "transfer-time-and-data-rate", "zero-asset-weights", "relays-empty-array",
         "relays-object", "annotations-string", "uncountable-simulation", "empty-n-range",
-        "outage-check-negative-seed", "outage-check-uncountable-trials", "quasi-sensible-relay"])
+        "outage-check-negative-seed", "outage-check-uncountable-trials", "quasi-sensible-relay",
+        "misspelled-sim-field", "unknown-top-level-key", "unknown-link-key",
+        "packet-bits-past-float-range", "hash-bits-past-float-range",
+        "message-count-past-2-53", "window-past-float-range", "window-product-overflows"])
 def test_input_paths(capsys, tmp_path, argv, edit, code, message):
     """A success prints ``message`` on stdout; a failure prints only it, as the error."""
     name = "military"
@@ -757,6 +776,33 @@ def test_unexpected_error_names_its_type_and_origin(capsys, monkeypatch):
     assert code == 4
     assert err.startswith("unexpected error: RuntimeError: boom (in broken, ")
     assert "test_cli.py:" in err
+
+
+def test_a_read_scenario_is_hashed_without_writing_it_out(monkeypatch):
+    data = scenario.load_scenario_dict("military")
+    expected = hashlib.sha256(scenario.canonical_json(
+        scenario.scenario_to_dict(scenario.load_scenario("military"))).encode()).hexdigest()
+
+    def refused(s):
+        raise AssertionError("scenario_to_dict called")
+
+    monkeypatch.setattr(scenario, "scenario_to_dict", refused)
+    sc = scenario.scenario_from_dict(data)
+    bundle = json.loads(bundle_to_json(build_solve_report(sc)))
+    assert bundle["provenance"]["scenario_hash"] == expected
+
+
+def test_partition_and_security_sections_hold_the_dataclass_values(military):
+    """The sections are the dataclasses' fields, their values not copied."""
+    partition = military.solution.partition
+    solve = build_solve_report(military)
+    assert solve["partition"]["sensible"] is partition.sensible
+    assert solve["partition"] == asdict(partition)
+    small = replace(military, sim=replace(military.sim, episodes=1000))
+    security = build_simulation_report(small)["security"]
+    assert {key: security[key] for key in asdict(military.security)} == asdict(military.security)
+    assert list(security) == [*asdict(military.security), "min_auth_prob_by_relay",
+                              "auth_policy_applied"]
 
 
 def test_solve_report_is_json_serializable(military):

@@ -17,9 +17,11 @@ from relaygame.game import GameParams, MixedStrategy, RelayProfile, solve_equili
 from relaygame.scenario import load_scenario
 from relaygame.sim import SimConfig, check_auth_grid
 from relaygame.throughput import (
+    ArqMode,
     SecurityRequirement,
     compromising_probability,
     min_auth_probability,
+    sweep_messages,
     throughput_sr,
 )
 
@@ -115,6 +117,27 @@ def test_open_ends_reject_their_bound():
     for name in ("data_rate", "reaction_time"):
         with pytest.raises(ValidationError, match=rf"^{name} must be > 0"):
             dataclasses.replace(cfg, **{name: 0.0})
+
+
+def test_counts_in_float_arithmetic_stay_at_or_below_2_53():
+    cfg = load_scenario("military").throughput
+    for name in ("packet_bits", "hash_bits", "n_messages", "window"):
+        assert getattr(dataclasses.replace(cfg, **{name: 2 ** 53}), name) == 2 ** 53
+        with pytest.raises(ValidationError, match=rf"^{name} must be in .*, got {2 ** 53 + 1}$") \
+                as info:
+            dataclasses.replace(cfg, **{name: 2 ** 53 + 1})
+        assert info.value.field == name
+    at_bound = dataclasses.replace(cfg, packet_bits=2 ** 53, hash_bits=2 ** 53,
+                                   n_messages=2 ** 53, window=2 ** 53)
+    for mode in ArqMode:
+        assert all(math.isfinite(value) for value, _ in sweep_messages(at_bound, 64, mode, 0.5))
+    # The product is refused only where it would size the window.
+    given = dataclasses.replace(cfg, data_rate=1e308, reaction_time=1e10, window=4)
+    assert given.resolved_window == 4
+    with pytest.raises(ValidationError, match=r"^data_rate x reaction_time must be finite, "
+                                              r"got 1e\+308 x 10000000000\.0$") as info:
+        dataclasses.replace(given, window=None)
+    assert info.value.field == "data_rate"
 
 
 def test_check_range_messages_name_the_field():

@@ -2,10 +2,13 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from relaygame.channel import LinkModel
@@ -14,8 +17,10 @@ from relaygame.errors import ValidationError
 from relaygame.game import GameParams, RelayProfile
 from relaygame.scenario import (
     _TABLE,
+    PRESET_NAMES,
     canonical_json,
     load_scenario,
+    load_scenario_dict,
     presets,
     scenario_from_dict,
     scenario_hash,
@@ -24,6 +29,9 @@ from relaygame.scenario import (
 )
 from relaygame.sim import SimConfig
 from relaygame.throughput import SecurityRequirement, ThroughputConfig
+from test_generated_bundles_pinned import _load_workloads
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 def test_military_preset_parameters(military):
@@ -80,6 +88,35 @@ def test_hash_changes_with_content(military, commercial):
     assert scenario_hash(renamed) != scenario_hash(military)
     assert scenario_hash(renamed) == hashlib.sha256(
         canonical_json(scenario_to_dict(renamed)).encode()).hexdigest()
+
+
+def test_hash_taken_at_read_is_the_hash_of_the_written_form(monkeypatch):
+    """scenario_from_dict hashes the values it read; the hash must be the one
+    the scenario's written form gives, for every kind of file the program reads."""
+    workloads = _load_workloads(monkeypatch)
+    monkeypatch.syspath_prepend(str(TOOLS))      # compare_parent imports bench_pairs
+    spec = importlib.util.spec_from_file_location("compare_parent", TOOLS / "compare_parent.py")
+    compare_parent = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_parent)
+
+    rng = np.random.default_rng(26)
+    dicts = [load_scenario_dict(name) for name in PRESET_NAMES]
+    dicts += [workloads.generate_scenario(rng, 2 + j % 31)[0] for j in range(100)]
+    loaded = set()
+    for name, raw in compare_parent.FILES.items():
+        try:
+            data = json.loads(raw)
+            scenario_from_dict(data)
+        except (ValueError, ValidationError):       # the files written to be refused
+            continue
+        dicts.append(data)
+        loaded.add(name)
+    assert loaded == {"unequal.json", "shuffled.json", "nosim.json", "nullnotes.json"}
+    for data in dicts:
+        s = scenario_from_dict(data)
+        assert "_hash" in vars(s)                    # filled by the read
+        assert s._hash == hashlib.sha256(
+            canonical_json(scenario_to_dict(s)).encode()).hexdigest()
 
 
 def test_db_fields_convert(tmp_path, military):
@@ -153,6 +190,24 @@ def test_validation_names_field_paths(military):
         data["name"] = name
         with pytest.raises(ValidationError, match=r"scenario\.name: expected a string"):
             scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("path", [
+    "extra", "game.detect", "relays[1].asset", "relays[2].link.snr_db",
+    "relays[0].link.snr_avg_dB", "throughput.window_size", "security.max_fraction",
+    "sim.episods",
+])
+def test_unknown_keys_are_refused(military, path):
+    """A key the field table does not know would otherwise load as nothing
+    and leave its field at the default."""
+    data = scenario_to_dict(military)
+    *parents, key = path.replace("[", ".").replace("]", "").split(".")
+    node = data
+    for part in parents:
+        node = node[int(part)] if part.isdigit() else node[part]
+    node[key] = 5
+    with pytest.raises(ValidationError, match=rf"^scenario\.{re.escape(path)}: unknown field$"):
+        scenario_from_dict(data)
 
 
 def test_zero_asset_relay_rejected(military):

@@ -70,6 +70,13 @@ FILES = {
     "nullnotes.json": json.dumps({**UNEQUAL, "annotations": None}).encode(),
     "intnote.json": json.dumps({**UNEQUAL, "annotations": ["kept", 1]}).encode(),
     "boolversion.json": json.dumps({**UNEQUAL, "schema_version": True}).encode(),
+    "misspelled.json": json.dumps(
+        {**UNEQUAL, "sim": {**UNEQUAL["sim"], "episods": 5}}).encode(),
+    "extrakey.json": json.dumps({**UNEQUAL, "extra": 1}).encode(),
+    "linkkey.json": json.dumps({**UNEQUAL, "relays": [
+        *UNEQUAL["relays"][:2],
+        {**UNEQUAL["relays"][2], "link": {**UNEQUAL["relays"][2]["link"], "snr_db": 10.0}},
+        UNEQUAL["relays"][3]]}).encode(),
 }
 
 COMMANDS = [
@@ -135,10 +142,25 @@ LOADER = [
     ["solve", "--scenario", "boolversion.json"],
 ]
 
+#: Keys the field table does not know, and integers past what the throughput
+#: arithmetic survives: each refused with its field path.
+REFUSED = [
+    ["simulate", "--scenario", "misspelled.json"],
+    ["solve", "--scenario", "extrakey.json"],
+    ["solve", "--scenario", "linkkey.json"],
+    ["solve", "--scenario", "military", "--set", f"throughput.packet_bits={10 ** 321}"],
+    ["sweep-n", "--scenario", "military", "--set", f"throughput.hash_bits={10 ** 321}"],
+    ["sweep-auth", "--scenario", "military", "--set", f"throughput.n_messages={10 ** 321}"],
+    ["sweep-n", "--scenario", "military", "--arq", "gbn",
+     "--set", f"throughput.window={10 ** 321}"],
+    ["sweep-n", "--scenario", "military", "--arq", "gbn",
+     "--set", "throughput.data_rate=1e308", "--set", "throughput.reaction_time=1e10"],
+]
+
 ARGVS = [command + ["--scenario", scenario, "--format", fmt, "--out", f"out.{fmt}"]
          for scenario in ("military", "commercial", "unequal.json")
          for command in COMMANDS
-         for fmt in ("json", "csv")] + INVALID + EDITS + REORDERED + LOADER
+         for fmt in ("json", "csv")] + INVALID + EDITS + REORDERED + LOADER + REFUSED
 
 
 def run(checkout: Path, cwd: Path, argv: list[str]) -> dict:
