@@ -208,7 +208,7 @@ class _Node:
 
     def number(self, key: str, default=_REQUIRED) -> float | None:
         value = self.data.get(key)
-        if type(value) is float and value - value == 0.0:     # finite: nan and inf give nan
+        if type(value) is float and value - value == 0.0:     # nan for nan and +-inf
             return value
         if value is None:
             return self.absent(key, default)
@@ -439,29 +439,24 @@ def scenario_from_dict(data: dict) -> Scenario:
         annotations=tuple(annotations),
         **sections,
     )
-    scenario.__dict__["_hash"] = _digest({     # the cache of the frozen dataclass
-        "schema_version": SCHEMA_VERSION,
-        "name": name,
-        "relays": wire_relays,
-        "annotations": annotations,
-        **wire_sections,
-    })
+    # Filled as functools.cached_property keeps it, which a frozen dataclass allows.
+    scenario.__dict__["_hash"] = _digest(_layout(name, wire_relays, annotations, wire_sections))
     return scenario
+
+
+def _layout(name: str, relays: list, annotations: list, sections: dict) -> dict:
+    """The dict form from its parts, each already in its JSON form."""
+    return {"schema_version": SCHEMA_VERSION, "name": name, "relays": relays,
+            "annotations": annotations, **sections}
 
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Canonical dict form; load(dump(s)) reproduces every semantic field."""
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "name": s.name,
-        "relays": [{**_write(pr), "link": _write(link)}
-                   for pr, link in zip(s.profiles, s.links)],
-        "annotations": list(s.annotations),
-    }
-    for key in SECTIONS:
-        if getattr(s, key) is not None:
-            out[key] = _write(getattr(s, key))
-    return out
+    return _layout(
+        s.name,
+        [{**_write(pr), "link": _write(link)} for pr, link in zip(s.profiles, s.links)],
+        list(s.annotations),
+        {key: _write(getattr(s, key)) for key in SECTIONS if getattr(s, key) is not None})
 
 
 # Shared, so that no call builds an encoder.  Without the circular check: every

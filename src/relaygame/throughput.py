@@ -73,8 +73,8 @@ class ThroughputConfig:
             check_range("window", self.window, 1, _MAX_COUNT)
         if (self.transfer_time is None) == (self.data_rate is None):
             raise ValidationError("give exactly one of transfer_time or data_rate")
-        if (self.window is None and self.data_rate is not None
-                and self.reaction_time is not None and math.isinf(self.data_rate * self.reaction_time)):
+        if (self.window is None and self.data_rate is not None and self.reaction_time is not None
+                and math.isinf(self.data_rate * self.reaction_time)):    # resolved_window's product
             raise ValidationError(f"data_rate x reaction_time must be finite, got "
                                   f"{self.data_rate} x {self.reaction_time}", field="data_rate")
 
