@@ -1,4 +1,4 @@
-"""Command-line interface: solve, sweep-n, sweep-auth, simulate, presets.
+"""Command-line interface: solve, sweep-n, sweep-auth, simulate, outage-check, presets.
 
 Exit codes: 0 success, 2 validation error, 3 infeasible equilibrium or
 degenerate game, 4 runtime failure.  Reports print as plain tables on stdout;
@@ -60,6 +60,10 @@ CSV columns per command:
               packet_success_analytical, auth_prob
   outage-check: relay_id, closed_form, monte_carlo, stderr, abs_gap, z, within_band
 """
+
+#: Largest sweep-n --n-max: a sweep holds about 500 B per row until its bundle
+#: is written (3e6 rows took 1.5 GB), so this keeps it near 50 MB.
+MAX_SWEEP_N = 100_000
 
 
 def _fmt(value) -> str:
@@ -133,6 +137,8 @@ def cmd_solve(scenario: Scenario, args) -> dict:
 
 
 def cmd_sweep_n(scenario: Scenario, args) -> dict:
+    if args.n_max > MAX_SWEEP_N:
+        raise ValidationError(f"--n-max must be <= {MAX_SWEEP_N}, got {args.n_max}")
     bundle = build_sweep_n_report(scenario, range(1, args.n_max + 1), ArqMode(args.arq))
     print_table(bundle["rows"])
     opt = bundle["optimal"]
@@ -213,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-n", help="throughput vs message count")
     common(p, seed=False)
-    p.add_argument("--n-max", type=int, default=64, help="sweep n = 1..N (default 64)")
+    p.add_argument("--n-max", type=int, default=64,
+                   help=f"sweep n = 1..N, N at most {MAX_SWEEP_N} (default 64)")
     p.add_argument("--arq", choices=[m.value for m in ArqMode], default="sr")
     p.set_defaults(func=cmd_sweep_n)
 

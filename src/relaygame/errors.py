@@ -50,10 +50,15 @@ def check_range(name: str, value, lo, hi=math.inf,
             and -math.inf < value < math.inf):
         return
     if hi == math.inf:
-        bound = f"{'>' if lo_open else '>='} {lo:g}"
+        bound = f"{'>' if lo_open else '>='} {_bound(lo)}"
     else:
-        bound = f"in {'(' if lo_open else '['}{lo:g}, {hi:g}{')' if hi_open else ']'}"
+        bound = f"in {'(' if lo_open else '['}{_bound(lo)}, {_bound(hi)}{')' if hi_open else ']'}"
     raise ValidationError(f"{name} must be {bound}, got {value}", field=name)
+
+
+def _bound(x) -> str:
+    # An integer bound is written exactly: 2**53 as :g reads 9.0072e+15.
+    return str(x) if isinstance(x, int) else f"{x:g}"
 
 
 EXIT_OK = 0

@@ -331,34 +331,29 @@ _KNOWN[LinkModel] |= {f"{name}_db" for name in _SNR_FIELDS}
 _KNOWN[RelayProfile] |= {"link"}
 _KNOWN[Scenario] = frozenset(("schema_version", "name", "relays", "annotations", *SECTIONS))
 
-#: Scenario fields apply_overrides may set (dotted paths into the scenario JSON).
-OVERRIDE_KEYS = frozenset(
-    ["name"] + [f"{key}.{spec.name}" for key, cls in SECTIONS.items() for spec in _TABLE[cls]])
-
-
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
-    """Set each ``KEY=VALUE`` (VALUE read as JSON, else kept as a string) in the
-    dict form ``data`` in place, creating a missing or null section; return it."""
+    """Set each ``KEY=VALUE`` in the dict form ``data`` in place and return it.
+    KEY is a dotted path, and a missing or null object on it is created; VALUE
+    is read as JSON, else kept as a string.  Which keys and values a scenario
+    may hold is for scenario_from_dict to check, as it checks a file."""
     _Node(data, "scenario")
     for item in overrides:
-        if "=" not in item:
+        key, eq, raw = item.partition("=")
+        *parents, leaf = key.strip().split(".")
+        if not (eq and leaf and all(parents)):
             raise ValidationError(f"override {item!r} is not KEY=VALUE")
-        key, raw = item.split("=", 1)
-        key = key.strip()
-        if key not in OVERRIDE_KEYS:
-            raise ValidationError(
-                f"unknown override key {key!r}; allowed: {', '.join(sorted(OVERRIDE_KEYS))}")
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        *sections, leaf = key.split(".")
-        node = data
-        for part in sections:       # a null section counts as absent
+        node, path = data, "scenario"
+        for part in parents:        # a null object counts as absent
+            path = f"{path}.{part}"
             if node.get(part) is None:
                 node[part] = {}
-            node = _Node(node[part], f"scenario.{part}").data
-        node[leaf] = value
+            node = _Node(node[part], path).data
+        try:
+            node[leaf] = json.loads(raw)
+        except json.JSONDecodeError:
+            node[leaf] = raw
+        except ValueError as exc:   # an integer past the interpreter's digit limit
+            raise ValidationError(f"{path}.{leaf}: value not read ({exc})") from None
     return data
 
 
@@ -511,10 +506,10 @@ def load_scenario_dict(source: str | Path) -> dict:
             f"(presets: {', '.join(PRESET_NAMES)})")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:     # a ValueError, so caught first
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+    except ValueError as exc:     # also an integer past the interpreter's digit limit
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read ({exc})") from exc
 

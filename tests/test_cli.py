@@ -1,5 +1,6 @@
 """CLI surface: subcommands, flags, exit codes, emitted files."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,7 +25,6 @@ from relaygame.report import (
     build_sweep_n_report,
     bundle_to_json,
 )
-from relaygame.scenario import OVERRIDE_KEYS
 from relaygame.throughput import ArqMode, optimize_messages, throughput_for_mode, throughput_sr
 from test_bundles_pinned import PINNED
 
@@ -130,25 +130,44 @@ def test_sweep_n_of_an_unsolvable_game_binds_the_first_relay(capsys, tmp_path, m
 
 
 def test_invalid_override_key(capsys):
+    """A key the schema does not know is refused by the loader, as in a file."""
+    code, out, err = run_cli(capsys, "simulate", "--scenario", "military",
+                             "--set", "bogus.key=1")
+    assert (code, out, err) == (2, "", "error: scenario.bogus: unknown field\n")
+
+
+#: A value for every field of the four sections, valid together; the null
+#: unsets data_rate, which transfer_time replaces.
+EVERY_FIELD = {
+    "game": {"detect_rate": 0.8, "false_alarm_rate": 0.1, "attack_cost": 0.02,
+             "monitor_cost": 0.02, "false_alarm_loss": 0.02, "weight_info": 0.5,
+             "weight_security": 0.5},
+    "throughput": {"packet_bits": 800, "hash_bits": 128, "n_messages": 3, "auth_prob": 0.9,
+                   "presig_time": 0.05, "transfer_time": 0.01, "data_rate": None,
+                   "reaction_time": 0.02, "window": 5},
+    "security": {"max_compromised_fraction": 0.3},
+    "sim": {"episodes": 1000, "packets_per_episode": 2, "seed": 7, "attacker_mode": "uniform",
+            "source_mode": "best-utility", "refined_detection": True,
+            "auth_prob": {"1": 0.5, "2": 0.6, "3": 0.7, "4": 0.8}},
+}
+
+
+def test_every_section_field_can_be_set(capsys):
+    """Every field of the four sections is set by --set, sim.auth_prob relay
+    by relay, and the scenario read holds each value."""
+    assert {key: set(fields) for key, fields in EVERY_FIELD.items()} == {
+        key: {f.name for f in dataclasses.fields(cls)} for key, cls in scenario.SECTIONS.items()}
+    sets = [f"{key}.{name}={json.dumps(value)}" for key, fields in EVERY_FIELD.items()
+            for name, value in fields.items() if (key, name) != ("sim", "auth_prob")]
+    sets += [f"sim.auth_prob.{rid}={pa}" for rid, pa in EVERY_FIELD["sim"]["auth_prob"].items()]
     code, _, err = run_cli(capsys, "simulate", "--scenario", "military",
-                           "--set", "bogus.key=1")
-    assert code == 2
-    assert "unknown override key" in err
-
-
-def test_override_keys_are_the_scenario_fields():
-    assert OVERRIDE_KEYS == {
-        "name",
-        "game.detect_rate", "game.false_alarm_rate", "game.attack_cost",
-        "game.monitor_cost", "game.false_alarm_loss", "game.weight_info",
-        "game.weight_security",
-        "throughput.packet_bits", "throughput.hash_bits", "throughput.n_messages",
-        "throughput.auth_prob", "throughput.presig_time", "throughput.transfer_time",
-        "throughput.data_rate", "throughput.reaction_time", "throughput.window",
-        "security.max_compromised_fraction",
-        "sim.episodes", "sim.packets_per_episode", "sim.seed", "sim.attacker_mode",
-        "sim.source_mode", "sim.auth_prob", "sim.refined_detection",
-    }
+                           *(f"--set={item}" for item in sets))
+    assert (code, err) == (0, "")
+    read = scenario.scenario_to_dict(scenario.scenario_from_dict(
+        scenario.apply_overrides(scenario.load_scenario_dict("military"), sets)))
+    assert {key: read[key] for key in EVERY_FIELD} == {
+        key: {name: value for name, value in fields.items() if value is not None}
+        for key, fields in EVERY_FIELD.items()}
 
 
 @pytest.mark.parametrize("override,path", [
@@ -210,30 +229,54 @@ def _three_relays_one_on_the_threshold(data):
     (["sweep-n", "--n-max", "0"], None, 2, "message-count range must not be empty"),
     (["outage-check", "--seed", "-1"], None, 2, "seed must be in [0, 2^64), got -1"),
     (["outage-check", "--trials", str(10 ** 20)], None,
-     2, f"trials must be in [1, {2 ** 63:g}), got {10 ** 20}"),
+     2, f"trials must be in [1, {2 ** 63}), got {10 ** 20}"),
     (["solve"], _three_relays_one_on_the_threshold, 0, "quasi-sensible"),
     (["simulate"], lambda d: d["sim"].update(episods=5), 2, "scenario.sim.episods: unknown field"),
     (["solve"], lambda d: d.update(extra=1), 2, "scenario.extra: unknown field"),
     (["solve"], lambda d: d["relays"][2]["link"].update(snr_db=10.0),
      2, "scenario.relays[2].link.snr_db: unknown field"),
     (["solve", "--set", f"throughput.packet_bits={10 ** 321}"], None,
-     2, f"scenario.throughput.packet_bits must be in (0, {2 ** 53:g}], got {10 ** 321}"),
+     2, f"scenario.throughput.packet_bits must be in (0, {2 ** 53}], got {10 ** 321}"),
     (["sweep-n", "--set", f"throughput.hash_bits={10 ** 321}"], None,
-     2, f"scenario.throughput.hash_bits must be in (0, {2 ** 53:g}], got {10 ** 321}"),
+     2, f"scenario.throughput.hash_bits must be in (0, {2 ** 53}], got {10 ** 321}"),
     (["sweep-auth", "--set", f"throughput.n_messages={2 ** 53 + 1}"], None,
-     2, f"scenario.throughput.n_messages must be in [1, {2 ** 53:g}], got {2 ** 53 + 1}"),
+     2, f"scenario.throughput.n_messages must be in [1, {2 ** 53}], got {2 ** 53 + 1}"),
     (["sweep-n", "--arq", "gbn", "--set", f"throughput.window={10 ** 321}"], None,
-     2, f"scenario.throughput.window must be in [1, {2 ** 53:g}], got {10 ** 321}"),
+     2, f"scenario.throughput.window must be in [1, {2 ** 53}], got {10 ** 321}"),
     (["sweep-n", "--arq", "gbn", "--set", "throughput.data_rate=1e308",
       "--set", "throughput.reaction_time=1e10"], None,
      2, "scenario.throughput.data_rate x reaction_time must be finite, got 1e+308 x 10000000000.0"),
+    (["solve", "--set", f"throughput.packet_bits=1{'0' * 5000}"], None,
+     2, "scenario.throughput.packet_bits: value not read (Exceeds the limit (4300 digits) "
+        "for integer string conversion: value has 5001 digits; use "
+        "sys.set_int_max_str_digits() to increase the limit)"),
+    (["solve"], lambda d: d.pop("game"), 2, "scenario.game: missing required field"),
+    (["solve"], lambda d: d.pop("relays"), 2, "scenario.relays: missing required field"),
+    (["solve"], lambda d: d["relays"][0].pop("link"),
+     2, "scenario.relays[0].link: missing required field"),
+    (["sweep-n", "--n-max", str(cli.MAX_SWEEP_N + 1)], None,
+     2, f"--n-max must be <= {cli.MAX_SWEEP_N}, got {cli.MAX_SWEEP_N + 1}"),
+    (["solve", "--set", "game.detect_rat=1"], None, 2, "scenario.game.detect_rat: unknown field"),
+    (["solve", "--set", "=1"], None, 2, "override '=1' is not KEY=VALUE"),
+    (["solve", "--set", "game..detect_rate=1"], None,
+     2, "override 'game..detect_rate=1' is not KEY=VALUE"),
+    (["simulate", "--set", "sim.auth_prob=0.5", "--set", "sim.auth_prob.1=0.5"], None,
+     2, "scenario.sim.auth_prob: expected an object, got float"),
+    (["simulate", "--set", "sim=null"], None,
+     2, "scenario.sim: missing; simulating needs a sim section"),
+    (["solve", "--set", 'annotations=["set by an override"]'], None,
+     0, "note: set by an override\n"),
 ], ids=["override-without-value", "override-kept-as-string", "link-without-snr-sr",
         "transfer-time-and-data-rate", "zero-asset-weights", "relays-empty-array",
         "relays-object", "annotations-string", "uncountable-simulation", "empty-n-range",
         "outage-check-negative-seed", "outage-check-uncountable-trials", "quasi-sensible-relay",
         "misspelled-sim-field", "unknown-top-level-key", "unknown-link-key",
         "packet-bits-past-float-range", "hash-bits-past-float-range",
-        "message-count-past-2-53", "window-past-float-range", "window-product-overflows"])
+        "message-count-past-2-53", "window-past-float-range", "window-product-overflows",
+        "override-integer-past-digit-limit", "game-missing", "relays-missing",
+        "link-missing", "n-max-past-its-bound", "override-unknown-field", "override-empty-key",
+        "override-empty-dotted-part", "override-through-a-number", "sim-section-unset",
+        "annotations-set"])
 def test_input_paths(capsys, tmp_path, argv, edit, code, message):
     """A success prints ``message`` on stdout; a failure prints only it, as the error."""
     name = "military"
@@ -257,11 +300,20 @@ def test_input_paths(capsys, tmp_path, argv, edit, code, message):
             "sensible", "sensible", "quasi-sensible"]
 
 
+def test_sweep_n_help_states_the_n_max_bound(capsys):
+    with pytest.raises(SystemExit):
+        main(["sweep-n", "--help"])
+    assert f"N at most {cli.MAX_SWEEP_N}" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda path: path.mkdir(), "cannot read ([Errno 21] Is a directory: "),
     (lambda path: path.write_bytes(b'\xff{"name": "x"}'),
      "not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 0"),
-], ids=["directory", "not-utf-8"])
+    (lambda path: path.write_text(f'{{"schema_version": 1{"0" * 5000}}}'),
+     "not valid JSON (Exceeds the limit (4300 digits) for integer string conversion: "
+     "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit)\n"),
+], ids=["directory", "not-utf-8", "integer-past-digit-limit"])
 def test_unreadable_scenario_file_exits_two(capsys, tmp_path, make, message):
     path = tmp_path / "scenario.json"
     make(path)

@@ -77,6 +77,7 @@ FILES = {
         *UNEQUAL["relays"][:2],
         {**UNEQUAL["relays"][2], "link": {**UNEQUAL["relays"][2]["link"], "snr_db": 10.0}},
         UNEQUAL["relays"][3]]}).encode(),
+    "longint.json": f'{{"schema_version": 1{"0" * 5000}}}'.encode(),
 }
 
 COMMANDS = [
@@ -122,6 +123,10 @@ EDITS = [
     ["simulate", "--scenario", "nosim.json", "--seed", "4", "--set", "sim.episodes=1000"],
     ["sweep-auth", "--scenario", "military", "--grid", "x"],
     ["sweep-auth", "--scenario", "military", "--set", "sim=null", "--simulate"],
+    ["solve", "--scenario", "military", "--set", "game.detect_rat=1"],
+    ["solve", "--scenario", "military", "--set", 'annotations=["set by an override"]'],
+    ["simulate", "--scenario", "military", "--set", "sim.episodes=1000",
+     *(f"--set=sim.auth_prob.{rid}=0.5" for rid in (1, 2, 3, 4))],
 ]
 
 #: The shuffled relay order through every part of the program that reads it.
@@ -142,8 +147,9 @@ LOADER = [
     ["solve", "--scenario", "boolversion.json"],
 ]
 
-#: Keys the field table does not know, and integers past what the throughput
-#: arithmetic survives: each refused with its field path.
+#: Keys the field table does not know, integers past what the throughput
+#: arithmetic survives or past the interpreter's digit limit, and counts past
+#: their bounds: each refused with its field path.
 REFUSED = [
     ["simulate", "--scenario", "misspelled.json"],
     ["solve", "--scenario", "extrakey.json"],
@@ -155,6 +161,10 @@ REFUSED = [
      "--set", f"throughput.window={10 ** 321}"],
     ["sweep-n", "--scenario", "military", "--arq", "gbn",
      "--set", "throughput.data_rate=1e308", "--set", "throughput.reaction_time=1e10"],
+    ["solve", "--scenario", "military", "--set", f"throughput.packet_bits=1{'0' * 5000}"],
+    ["solve", "--scenario", "longint.json"],
+    ["sweep-n", "--scenario", "military", "--n-max", "100001"],
+    ["outage-check", "--scenario", "military", "--trials", str(10 ** 20)],
 ]
 
 ARGVS = [command + ["--scenario", scenario, "--format", fmt, "--out", f"out.{fmt}"]
