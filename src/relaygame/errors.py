@@ -49,16 +49,13 @@ def check_range(name: str, value, lo, hi=math.inf,
             and (value < hi if hi_open else value <= hi)
             and -math.inf < value < math.inf):
         return
+    # An integer bound is written exactly: 2 ** 53 with :g reads 9.0072e+15.
+    lo_s, hi_s = (str(b) if isinstance(b, int) else f"{b:g}" for b in (lo, hi))
     if hi == math.inf:
-        bound = f"{'>' if lo_open else '>='} {_bound(lo)}"
+        bound = f"{'>' if lo_open else '>='} {lo_s}"
     else:
-        bound = f"in {'(' if lo_open else '['}{_bound(lo)}, {_bound(hi)}{')' if hi_open else ']'}"
+        bound = f"in {'(' if lo_open else '['}{lo_s}, {hi_s}{')' if hi_open else ']'}"
     raise ValidationError(f"{name} must be {bound}, got {value}", field=name)
-
-
-def _bound(x) -> str:
-    # An integer bound is written exactly: 2**53 as :g reads 9.0072e+15.
-    return str(x) if isinstance(x, int) else f"{x:g}"
 
 
 EXIT_OK = 0

@@ -331,6 +331,7 @@ _KNOWN[LinkModel] |= {f"{name}_db" for name in _SNR_FIELDS}
 _KNOWN[RelayProfile] |= {"link"}
 _KNOWN[Scenario] = frozenset(("schema_version", "name", "relays", "annotations", *SECTIONS))
 
+
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
     """Set each ``KEY=VALUE`` in the dict form ``data`` in place and return it.
     KEY is a dotted path, and a missing or null object on it is created; VALUE
