@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 validation error, 3 infeasible equilibrium or
 degenerate game, 4 runtime failure.  Reports print as plain tables on stdout;
---out writes the machine-readable bundle (JSON, or the main table as CSV with
---format csv); an existing file is rewritten in place and cut to length, so it
+--out writes the machine-readable bundle (JSON, or with --format csv the table
+the command printed first); an existing file is rewritten in place and cut to length, so it
 keeps its inode, mode and links.  Relative --out paths are resolved under
 $RELAYGAME_OUT_DIR when that variable is set.
 """
@@ -45,7 +45,7 @@ from .scenario import (
     scenario_from_dict,
     write_file,
 )
-from .throughput import ArqMode
+from .throughput import MAX_SWEEP_N, ArqMode
 
 CSV_COLUMNS_HELP = """\
 CSV columns per command:
@@ -60,11 +60,6 @@ CSV columns per command:
               packet_success_analytical, auth_prob
   outage-check: relay_id, closed_form, monte_carlo, stderr, abs_gap, z, within_band
 """
-
-#: Largest sweep-n --n-max: a sweep holds about 500 B per row until its bundle
-#: is written (3e6 rows took 1.5 GB), so this keeps it near 50 MB.
-MAX_SWEEP_N = 100_000
-
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -91,13 +86,13 @@ def _load(args) -> Scenario:
     return scenario_from_dict(data)
 
 
-def _emit(bundle: dict, args) -> None:
+def _emit(bundle: dict, table: list[dict], args) -> None:
     if args.out:
         path = Path(args.out)
         out_dir = os.environ.get("RELAYGAME_OUT_DIR")
         if out_dir and not path.is_absolute():
             path = Path(out_dir) / path
-        text = bundle_to_csv(bundle) if args.format == "csv" else bundle_to_json(bundle)
+        text = bundle_to_csv(table) if args.format == "csv" else bundle_to_json(bundle)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             write_file(path, text)
@@ -122,7 +117,7 @@ def cmd_presets() -> None:
     print_table(rows)
 
 
-def cmd_solve(scenario: Scenario, args) -> dict:
+def cmd_solve(scenario: Scenario, args) -> tuple[dict, list[dict]]:
     bundle = build_solve_report(scenario, diagnostics=args.diagnostics)
     print(f"scenario {scenario.name}: threshold={_fmt(bundle['partition']['threshold'])} "
           f"lambda_attacker={_fmt(bundle['lambda_attacker'])} "
@@ -133,12 +128,10 @@ def cmd_solve(scenario: Scenario, args) -> dict:
           f"source_gain={_fmt(ver['source_gain'])} equilibrium={ver['is_equilibrium']}")
     for note in bundle["annotations"]:
         print(f"note: {note}")
-    return bundle
+    return bundle, bundle["equilibrium"]
 
 
-def cmd_sweep_n(scenario: Scenario, args) -> dict:
-    if args.n_max > MAX_SWEEP_N:
-        raise ValidationError(f"--n-max must be <= {MAX_SWEEP_N}, got {args.n_max}")
+def cmd_sweep_n(scenario: Scenario, args) -> tuple[dict, list[dict]]:
     bundle = build_sweep_n_report(scenario, range(1, args.n_max + 1), ArqMode(args.arq))
     print_table(bundle["rows"])
     opt = bundle["optimal"]
@@ -146,10 +139,10 @@ def cmd_sweep_n(scenario: Scenario, args) -> dict:
         print(f"optimal: n={opt['n']} throughput={_fmt(opt['throughput'])}")
     else:
         print(f"optimal: none ({opt['note']})")
-    return bundle
+    return bundle, bundle["rows"]
 
 
-def cmd_sweep_auth(scenario: Scenario, args) -> dict:
+def cmd_sweep_auth(scenario: Scenario, args) -> tuple[dict, list[dict]]:
     try:
         grid = [float(x) for x in args.grid.split(",") if x.strip() != ""]
     except ValueError as exc:
@@ -158,10 +151,10 @@ def cmd_sweep_auth(scenario: Scenario, args) -> dict:
     print(f"conditioning relay {bundle['conditioning_relay']} "
           f"(attack probability {_fmt(bundle['attack_prob_conditioning'])})")
     print_table(bundle["rows"])
-    return bundle
+    return bundle, bundle["rows"]
 
 
-def cmd_simulate(scenario: Scenario, args) -> dict:
+def cmd_simulate(scenario: Scenario, args) -> tuple[dict, list[dict]]:
     bundle = build_simulation_report(scenario, auth_policy=args.auth_policy)
     sim = bundle["simulation"]
     print(f"scenario {scenario.name}: {sim['episodes']} episodes x "
@@ -176,16 +169,16 @@ def cmd_simulate(scenario: Scenario, args) -> dict:
     ])
     for note in sim["notes"]:
         print(f"note: {note}")
-    return bundle
+    return bundle, sim["per_relay"]
 
 
-def cmd_outage_check(scenario: Scenario, args) -> dict:
+def cmd_outage_check(scenario: Scenario, args) -> tuple[dict, list[dict]]:
     bundle = build_outage_crosscheck(
         scenario, trials=args.trials, seed=args.seed if args.seed is not None else 0)
     print_table(bundle["rows"])
     if bundle["note"]:
         print(f"note: {bundle['note']}")
-    return bundle
+    return bundle, bundle["rows"]
 
 
 @functools.cache
@@ -254,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "presets":
             cmd_presets()
         else:
-            _emit(args.func(_load(args), args), args)
+            _emit(*args.func(_load(args), args), args)
         return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

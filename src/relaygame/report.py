@@ -268,25 +268,12 @@ def build_outage_crosscheck(scenario: Scenario, trials: int = 1_000_000, seed: i
 
 # --- emission -------------------------------------------------------------
 
-_CSV_TABLE_KEY = {
-    "solve": "equilibrium",
-    "sweep-n": "rows",
-    "sweep-auth": "rows",
-    "simulate": ("simulation", "per_relay"),
-    "outage-crosscheck": "rows",
-}
-
-
 def bundle_to_json(bundle: dict) -> str:
     return canonical_json(bundle)
 
 
-def bundle_to_csv(bundle: dict) -> str:
-    """Flatten the bundle's main table to CSV (columns documented in --help)."""
-    key = _CSV_TABLE_KEY.get(bundle.get("report"))
-    if key is None:
-        raise ValidationError(f"no CSV table for report {bundle.get('report')!r}")
-    rows = bundle[key[0]][key[1]] if isinstance(key, tuple) else bundle[key]
+def bundle_to_csv(rows: list[dict]) -> str:
+    """A table's rows as CSV, headed by the first row's keys (columns documented in --help)."""
     if not rows:
         raise ValidationError("empty table")
     buf = io.StringIO()

@@ -353,7 +353,7 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
             node[leaf] = json.loads(raw)
         except json.JSONDecodeError:
             node[leaf] = raw
-        except ValueError as exc:   # an integer past the interpreter's digit limit
+        except (ValueError, RecursionError) as exc:   # past the digit limit, or nested too deep
             raise ValidationError(f"{path}.{leaf}: value not read ({exc})") from None
     return data
 
@@ -509,7 +509,7 @@ def load_scenario_dict(source: str | Path) -> dict:
         return json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:     # a ValueError, so caught first
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
-    except ValueError as exc:     # also an integer past the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:  # also past the digit limit, or nested too deep
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read ({exc})") from exc

@@ -28,6 +28,10 @@ from .errors import NoFeasibleMessageCountError, ValidationError, check_range
 #: and its product with a message count stays finite.
 _MAX_COUNT = 2 ** 53
 
+#: Largest message count a sweep walks: it holds about 500 B per row until its
+#: bundle is written (3e6 rows took 1.5 GB), so this keeps it near 50 MB.
+MAX_SWEEP_N = 100_000
+
 
 class ArqMode(enum.Enum):
     GENERAL = "general"
@@ -148,7 +152,7 @@ def sweep_messages(cfg: ThroughputConfig, n_max: int, arq: ArqMode,
                    p_c: float = 1.0) -> list[tuple[float, bool]]:
     """(throughput, feasible) at message counts 1..n_max, each evaluated once.  With
     any authentication, a count is feasible while its authenticated payload is positive."""
-    check_range("n_max", n_max, 1)
+    check_range("n_max", n_max, 1, MAX_SWEEP_N)
     p_c, retry = _mode_terms(cfg, arq, p_c)
     unauthenticated = cfg.auth_prob <= 0.0
     walk = []

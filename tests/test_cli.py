@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from relaygame import cli, report, scenario
+from relaygame import cli, report, scenario, throughput
 from relaygame.channel import ber_end_to_end, packet_success
 from relaygame.cli import main
 from relaygame.errors import RelayGameError, ValidationError
@@ -254,8 +255,8 @@ def _three_relays_one_on_the_threshold(data):
     (["solve"], lambda d: d.pop("relays"), 2, "scenario.relays: missing required field"),
     (["solve"], lambda d: d["relays"][0].pop("link"),
      2, "scenario.relays[0].link: missing required field"),
-    (["sweep-n", "--n-max", str(cli.MAX_SWEEP_N + 1)], None,
-     2, f"--n-max must be <= {cli.MAX_SWEEP_N}, got {cli.MAX_SWEEP_N + 1}"),
+    (["sweep-n", "--n-max", str(throughput.MAX_SWEEP_N + 1)], None,
+     2, f"n_max must be in [1, {throughput.MAX_SWEEP_N}], got {throughput.MAX_SWEEP_N + 1}"),
     (["solve", "--set", "game.detect_rat=1"], None, 2, "scenario.game.detect_rat: unknown field"),
     (["solve", "--set", "=1"], None, 2, "override '=1' is not KEY=VALUE"),
     (["solve", "--set", "game..detect_rate=1"], None,
@@ -266,6 +267,9 @@ def _three_relays_one_on_the_threshold(data):
      2, "scenario.sim: missing; simulating needs a sim section"),
     (["solve", "--set", 'annotations=["set by an override"]'], None,
      0, "note: set by an override\n"),
+    (["solve", "--set", "name=" + "[" * 50_000], None,
+     2, "scenario.name: value not read (maximum recursion depth exceeded "
+        "while decoding a JSON array from a unicode string)"),
 ], ids=["override-without-value", "override-kept-as-string", "link-without-snr-sr",
         "transfer-time-and-data-rate", "zero-asset-weights", "relays-empty-array",
         "relays-object", "annotations-string", "uncountable-simulation", "empty-n-range",
@@ -276,7 +280,7 @@ def _three_relays_one_on_the_threshold(data):
         "override-integer-past-digit-limit", "game-missing", "relays-missing",
         "link-missing", "n-max-past-its-bound", "override-unknown-field", "override-empty-key",
         "override-empty-dotted-part", "override-through-a-number", "sim-section-unset",
-        "annotations-set"])
+        "annotations-set", "override-nested-too-deep"])
 def test_input_paths(capsys, tmp_path, argv, edit, code, message):
     """A success prints ``message`` on stdout; a failure prints only it, as the error."""
     name = "military"
@@ -303,7 +307,7 @@ def test_input_paths(capsys, tmp_path, argv, edit, code, message):
 def test_sweep_n_help_states_the_n_max_bound(capsys):
     with pytest.raises(SystemExit):
         main(["sweep-n", "--help"])
-    assert f"N at most {cli.MAX_SWEEP_N}" in " ".join(capsys.readouterr().out.split())
+    assert f"N at most {throughput.MAX_SWEEP_N}" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("make, message", [
@@ -313,7 +317,11 @@ def test_sweep_n_help_states_the_n_max_bound(capsys):
     (lambda path: path.write_text(f'{{"schema_version": 1{"0" * 5000}}}'),
      "not valid JSON (Exceeds the limit (4300 digits) for integer string conversion: "
      "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit)\n"),
-], ids=["directory", "not-utf-8", "integer-past-digit-limit"])
+    (lambda path: path.write_text(
+        '{"schema_version": 1, "name": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+     "not valid JSON (maximum recursion depth exceeded "
+     "while decoding a JSON array from a unicode string)\n"),
+], ids=["directory", "not-utf-8", "integer-past-digit-limit", "nested-too-deep"])
 def test_unreadable_scenario_file_exits_two(capsys, tmp_path, make, message):
     path = tmp_path / "scenario.json"
     make(path)
@@ -394,6 +402,11 @@ def test_csv_header_is_the_column_list_in_the_help(capsys, tmp_path, command):
     assert header.split(",") == csv_columns_in_help()[command]
 
 
+def test_csv_of_an_empty_table_is_refused():
+    with pytest.raises(ValidationError, match=r"^empty table$"):
+        report.bundle_to_csv([])
+
+
 def test_sweep_n_consistency(military):
     # Rows and optimum come from one walk over 1..max(n); each must equal a
     # direct evaluation at its own count, bit for bit.
@@ -430,6 +443,17 @@ def test_sweep_n_refuses_a_zero_count_inside_a_list(military):
     # Unchecked, row n = 0 would read sweep[-1], the last row.
     with pytest.raises(ValidationError, match=r"message count must be >= 1, got 0"):
         build_sweep_n_report(military, [5, 0], ArqMode.SR)
+
+
+def test_sweep_past_its_bound_is_refused_before_any_row(military, monkeypatch):
+    def no_row(*args):
+        raise AssertionError("a row was evaluated")
+    monkeypatch.setattr(throughput, "_arq_at", no_row)
+    bound = f"n_max must be in [1, {throughput.MAX_SWEEP_N}], got {throughput.MAX_SWEEP_N + 1}"
+    with pytest.raises(ValidationError, match=re.escape(bound)):
+        build_sweep_n_report(military, range(1, throughput.MAX_SWEEP_N + 2), ArqMode.SR)
+    with pytest.raises(ValidationError, match=re.escape(bound)):
+        optimize_messages(military.throughput, throughput.MAX_SWEEP_N + 1, ArqMode.SR)
 
 
 def test_sweep_auth_columns(military):

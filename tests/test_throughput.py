@@ -305,7 +305,7 @@ def test_sweep_messages_errors_match_the_reference():
     assert outcome(sweep_messages, no_window, 8, ArqMode.GBN, 0.5) == expected
     # n_max is checked first, before P_c and the window.
     with pytest.raises(ValidationError) as n_max_error:
-        check_range("n_max", 0, 1)
+        check_range("n_max", 0, 1, throughput_module.MAX_SWEEP_N)
     for arq in ArqMode:
         for c, p_c in ((cfg(window=4), 0.5), (no_window, math.nan)):
             assert outcome(sweep_messages, c, 0, arq, p_c) == \

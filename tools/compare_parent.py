@@ -78,6 +78,7 @@ FILES = {
         {**UNEQUAL["relays"][2], "link": {**UNEQUAL["relays"][2]["link"], "snr_db": 10.0}},
         UNEQUAL["relays"][3]]}).encode(),
     "longint.json": f'{{"schema_version": 1{"0" * 5000}}}'.encode(),
+    "deep.json": ('{"schema_version": 1, "name": ' + "[" * 100_000 + "]" * 100_000 + "}").encode(),
 }
 
 COMMANDS = [
@@ -148,8 +149,9 @@ LOADER = [
 ]
 
 #: Keys the field table does not know, integers past what the throughput
-#: arithmetic survives or past the interpreter's digit limit, and counts past
-#: their bounds: each refused with its field path.
+#: arithmetic survives or past the interpreter's digit limit, JSON nested past
+#: the interpreter's recursion limit, and counts past their bounds: each
+#: refused with its field path.
 REFUSED = [
     ["simulate", "--scenario", "misspelled.json"],
     ["solve", "--scenario", "extrakey.json"],
@@ -163,6 +165,8 @@ REFUSED = [
      "--set", "throughput.data_rate=1e308", "--set", "throughput.reaction_time=1e10"],
     ["solve", "--scenario", "military", "--set", f"throughput.packet_bits=1{'0' * 5000}"],
     ["solve", "--scenario", "longint.json"],
+    ["solve", "--scenario", "deep.json"],
+    ["solve", "--scenario", "military", "--set", "name=" + "[" * 50_000],
     ["sweep-n", "--scenario", "military", "--n-max", "100001"],
     ["outage-check", "--scenario", "military", "--trials", str(10 ** 20)],
 ]
