@@ -29,6 +29,7 @@ from .sim import (
     run_simulation,
 )
 from .throughput import (
+    MAX_SWEEP_N,
     ArqMode,
     best_message_count,
     compromising_probability,
@@ -123,6 +124,8 @@ def build_solve_report(scenario: Scenario, diagnostics: bool = False) -> dict:
 
 def build_sweep_n_report(scenario: Scenario, n_values: Sequence[int], arq: ArqMode) -> dict:
     """Rows and optimum from one walk of 1..max(n_values); rows <= 0 are emitted but flagged."""
+    if n_values[MAX_SWEEP_N:MAX_SWEEP_N + 1]:  # O(1) for a range of any length
+        raise ValidationError(f"message-count range must hold at most {MAX_SWEEP_N} values")
     if len(n_values) == 0:
         raise ValidationError("message-count range must not be empty")
     check_range("message count", min(n_values), 1)

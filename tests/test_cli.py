@@ -256,7 +256,7 @@ def _three_relays_one_on_the_threshold(data):
     (["solve"], lambda d: d["relays"][0].pop("link"),
      2, "scenario.relays[0].link: missing required field"),
     (["sweep-n", "--n-max", str(throughput.MAX_SWEEP_N + 1)], None,
-     2, f"n_max must be in [1, {throughput.MAX_SWEEP_N}], got {throughput.MAX_SWEEP_N + 1}"),
+     2, f"message-count range must hold at most {throughput.MAX_SWEEP_N} values"),
     (["solve", "--set", "game.detect_rat=1"], None, 2, "scenario.game.detect_rat: unknown field"),
     (["solve", "--set", "=1"], None, 2, "override '=1' is not KEY=VALUE"),
     (["solve", "--set", "game..detect_rate=1"], None,
@@ -270,6 +270,11 @@ def _three_relays_one_on_the_threshold(data):
     (["solve", "--set", "name=" + "[" * 50_000], None,
      2, "scenario.name: value not read (maximum recursion depth exceeded "
         "while decoding a JSON array from a unicode string)"),
+    # Neither range is walked: len() of the first overflows, walking the second takes hours.
+    (["sweep-n", "--n-max", str(10 ** 19)], None,
+     2, f"message-count range must hold at most {throughput.MAX_SWEEP_N} values"),
+    (["sweep-n", "--n-max", str(10 ** 12)], None,
+     2, f"message-count range must hold at most {throughput.MAX_SWEEP_N} values"),
 ], ids=["override-without-value", "override-kept-as-string", "link-without-snr-sr",
         "transfer-time-and-data-rate", "zero-asset-weights", "relays-empty-array",
         "relays-object", "annotations-string", "uncountable-simulation", "empty-n-range",
@@ -280,7 +285,8 @@ def _three_relays_one_on_the_threshold(data):
         "override-integer-past-digit-limit", "game-missing", "relays-missing",
         "link-missing", "n-max-past-its-bound", "override-unknown-field", "override-empty-key",
         "override-empty-dotted-part", "override-through-a-number", "sim-section-unset",
-        "annotations-set", "override-nested-too-deep"])
+        "annotations-set", "override-nested-too-deep", "n-max-past-sys-maxsize",
+        "n-max-a-trillion"])
 def test_input_paths(capsys, tmp_path, argv, edit, code, message):
     """A success prints ``message`` on stdout; a failure prints only it, as the error."""
     name = "military"
@@ -445,15 +451,28 @@ def test_sweep_n_refuses_a_zero_count_inside_a_list(military):
         build_sweep_n_report(military, [5, 0], ArqMode.SR)
 
 
+class _Unread(list):
+    """A list whose values may be sliced and counted but not read one by one."""
+
+    def __iter__(self):
+        raise AssertionError("a value was read")
+
+
 def test_sweep_past_its_bound_is_refused_before_any_row(military, monkeypatch):
     def no_row(*args):
         raise AssertionError("a row was evaluated")
     monkeypatch.setattr(throughput, "_arq_at", no_row)
-    bound = f"n_max must be in [1, {throughput.MAX_SWEEP_N}], got {throughput.MAX_SWEEP_N + 1}"
-    with pytest.raises(ValidationError, match=re.escape(bound)):
-        build_sweep_n_report(military, range(1, throughput.MAX_SWEEP_N + 2), ArqMode.SR)
-    with pytest.raises(ValidationError, match=re.escape(bound)):
-        optimize_messages(military.throughput, throughput.MAX_SWEEP_N + 1, ArqMode.SR)
+    bound = throughput.MAX_SWEEP_N
+    rows = f"message-count range must hold at most {bound} values"
+    for n_values in (range(1, bound + 2), range(1, 10 ** 19), [1] * (bound + 1),
+                     _Unread(range(1, bound + 2))):
+        with pytest.raises(ValidationError, match=re.escape(rows)):
+            build_sweep_n_report(military, n_values, ArqMode.SR)
+    largest = f"n_max must be in [1, {bound}], got {bound + 1}"
+    with pytest.raises(ValidationError, match=re.escape(largest)):
+        build_sweep_n_report(military, [1, bound + 1], ArqMode.SR)
+    with pytest.raises(ValidationError, match=re.escape(largest)):
+        optimize_messages(military.throughput, bound + 1, ArqMode.SR)
 
 
 def test_sweep_auth_columns(military):

@@ -168,6 +168,8 @@ REFUSED = [
     ["solve", "--scenario", "deep.json"],
     ["solve", "--scenario", "military", "--set", "name=" + "[" * 50_000],
     ["sweep-n", "--scenario", "military", "--n-max", "100001"],
+    ["sweep-n", "--scenario", "military", "--n-max", str(10 ** 12)],
+    ["sweep-n", "--scenario", "military", "--n-max", str(10 ** 19)],
     ["outage-check", "--scenario", "military", "--trials", str(10 ** 20)],
 ]
 
