@@ -23,10 +23,6 @@ class ValidationError(RelayGameError):
         self.field = field
 
 
-class DimensionError(ValidationError):
-    """A vector's length disagrees with the relay count."""
-
-
 class DegenerateGameError(RelayGameError):
     """No sensible-target partition exists for these parameters."""
 

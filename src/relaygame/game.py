@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .errors import (
     DegenerateGameError,
-    DimensionError,
     InfeasibleEquilibriumError,
     ValidationError,
     check_range,
@@ -99,7 +98,7 @@ class MixedStrategy:
 
     def __post_init__(self) -> None:
         if not self.probs:
-            raise DimensionError("mixed strategy must have at least one entry")
+            raise ValidationError("mixed strategy must have at least one entry")
         for k, p in enumerate(self.probs):
             check_range(f"strategy entry {k}", p, 0.0, 1.0)
         total = sum(self.probs)
@@ -306,7 +305,7 @@ def verify_equilibrium(p: MixedStrategy, q: MixedStrategy, profiles, params: Gam
     """
     pv, qv = p.probs, q.probs
     if len(pv) != len(profiles) or len(qv) != len(profiles):
-        raise DimensionError(
+        raise ValidationError(
             f"strategy lengths ({len(pv)}, {len(qv)}) do not match {len(profiles)} relays")
     assets = _checked_assets(profiles, params)
     # Per-unit payoffs of each pure deviation; the source's shared -p.A term

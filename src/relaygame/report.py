@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import __version__
 from .channel import OUTAGE_CHUNK, binomial_stderr, outage_monte_carlo, outage_sr_link
-from .errors import NoFeasibleMessageCountError, ValidationError, check_range
+from .errors import NoFeasibleMessageCountError, ValidationError
 from .game import combined_asset, diagnostic_attack_strategy, verify_equilibrium
 from .scenario import Scenario, canonical_json, scenario_hash
 from .sim import (
@@ -29,7 +29,6 @@ from .sim import (
     run_simulation,
 )
 from .throughput import (
-    MAX_SWEEP_N,
     ArqMode,
     best_message_count,
     compromising_probability,
@@ -122,18 +121,15 @@ def build_solve_report(scenario: Scenario, diagnostics: bool = False) -> dict:
     return _bundle("solve", scenario, sections)
 
 
-def build_sweep_n_report(scenario: Scenario, n_values: Sequence[int], arq: ArqMode) -> dict:
-    """Rows and optimum from one walk of 1..max(n_values); rows <= 0 are emitted but flagged."""
-    if n_values[MAX_SWEEP_N:MAX_SWEEP_N + 1]:  # O(1) for a range of any length
-        raise ValidationError(f"message-count range must hold at most {MAX_SWEEP_N} values")
-    if len(n_values) == 0:
-        raise ValidationError("message-count range must not be empty")
-    check_range("message count", min(n_values), 1)
+def build_sweep_n_report(scenario: Scenario, n_values: range, arq: ArqMode) -> dict:
+    """Rows and optimum from one walk of range(1, n_max + 1); rows <= 0 are emitted but flagged."""
+    if not (isinstance(n_values, range) and n_values.start == 1 and n_values.step == 1):
+        raise ValidationError("message counts must be range(1, n_max + 1)")
     p_c = scenario.p_c[scenario.conditioning]
     cfg = scenario.throughput
-    sweep = sweep_messages(cfg, max(n_values), arq, p_c)
-    rows = [{"n": n, "throughput": sweep[n - 1][0], "plot_omitted": sweep[n - 1][0] <= 0.0}
-            for n in n_values]
+    sweep = sweep_messages(cfg, n_values.stop - 1, arq, p_c)
+    rows = [{"n": n, "throughput": value, "plot_omitted": value <= 0.0}
+            for n, (value, _) in enumerate(sweep, start=1)]
     try:
         n_star, best = best_message_count(cfg, sweep)
         optimal = {"n": n_star, "throughput": best}

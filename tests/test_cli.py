@@ -227,7 +227,8 @@ def _three_relays_one_on_the_threshold(data):
      2, "scenario.annotations: expected an array of strings"),
     (["simulate", "--set", f"sim.episodes={2 ** 62}", "--set", "sim.packets_per_episode=4"],
      None, 2, "scenario.sim: episodes x packets_per_episode must stay below 2^63"),
-    (["sweep-n", "--n-max", "0"], None, 2, "message-count range must not be empty"),
+    (["sweep-n", "--n-max", "0"], None,
+     2, f"n_max must be in [1, {throughput.MAX_SWEEP_N}], got 0"),
     (["outage-check", "--seed", "-1"], None, 2, "seed must be in [0, 2^64), got -1"),
     (["outage-check", "--trials", str(10 ** 20)], None,
      2, f"trials must be in [1, {2 ** 63}), got {10 ** 20}"),
@@ -256,7 +257,7 @@ def _three_relays_one_on_the_threshold(data):
     (["solve"], lambda d: d["relays"][0].pop("link"),
      2, "scenario.relays[0].link: missing required field"),
     (["sweep-n", "--n-max", str(throughput.MAX_SWEEP_N + 1)], None,
-     2, f"message-count range must hold at most {throughput.MAX_SWEEP_N} values"),
+     2, f"n_max must be in [1, {throughput.MAX_SWEEP_N}], got {throughput.MAX_SWEEP_N + 1}"),
     (["solve", "--set", "game.detect_rat=1"], None, 2, "scenario.game.detect_rat: unknown field"),
     (["solve", "--set", "=1"], None, 2, "override '=1' is not KEY=VALUE"),
     (["solve", "--set", "game..detect_rate=1"], None,
@@ -272,9 +273,9 @@ def _three_relays_one_on_the_threshold(data):
         "while decoding a JSON array from a unicode string)"),
     # Neither range is walked: len() of the first overflows, walking the second takes hours.
     (["sweep-n", "--n-max", str(10 ** 19)], None,
-     2, f"message-count range must hold at most {throughput.MAX_SWEEP_N} values"),
+     2, f"n_max must be in [1, {throughput.MAX_SWEEP_N}], got {10 ** 19}"),
     (["sweep-n", "--n-max", str(10 ** 12)], None,
-     2, f"message-count range must hold at most {throughput.MAX_SWEEP_N} values"),
+     2, f"n_max must be in [1, {throughput.MAX_SWEEP_N}], got {10 ** 12}"),
 ], ids=["override-without-value", "override-kept-as-string", "link-without-snr-sr",
         "transfer-time-and-data-rate", "zero-asset-weights", "relays-empty-array",
         "relays-object", "annotations-string", "uncountable-simulation", "empty-n-range",
@@ -414,18 +415,18 @@ def test_csv_of_an_empty_table_is_refused():
 
 
 def test_sweep_n_consistency(military):
-    # Rows and optimum come from one walk over 1..max(n); each must equal a
+    # Rows and optimum come from one walk over 1..n_max; each must equal a
     # direct evaluation at its own count, bit for bit.
     cfg = military.throughput
     for arq in ArqMode:
-        for n_values in ([6], range(1, 41), range(30, 37), [3, 1, 40]):
+        for n_values in (range(1, 7), range(1, 41), range(1, 37), range(1, 2)):
             bundle = build_sweep_n_report(military, n_values, arq)
             p_c = bundle["packet_success"]
             assert [r["n"] for r in bundle["rows"]] == list(n_values)
             for row in bundle["rows"]:
                 assert row["throughput"] == throughput_for_mode(
                     replace(cfg, n_messages=row["n"]), arq, p_c)
-            n_star, best = optimize_messages(cfg, max(n_values), arq, p_c)
+            n_star, best = optimize_messages(cfg, n_values.stop - 1, arq, p_c)
             assert bundle["optimal"] == {"n": n_star, "throughput": best}
 
 
@@ -440,15 +441,9 @@ def test_sweep_n_argmax_matches_optimizer(military):
 
 
 def test_sweep_n_flags_nonpositive_rows(military):
-    bundle = build_sweep_n_report(military, range(30, 37), ArqMode.GENERAL)
+    bundle = build_sweep_n_report(military, range(1, 37), ArqMode.GENERAL)
     flags = {r["n"]: r["plot_omitted"] for r in bundle["rows"]}
     assert not flags[32] and flags[33]  # payload cutoff
-
-
-def test_sweep_n_refuses_a_zero_count_inside_a_list(military):
-    # Unchecked, row n = 0 would read sweep[-1], the last row.
-    with pytest.raises(ValidationError, match=r"message count must be >= 1, got 0"):
-        build_sweep_n_report(military, [5, 0], ArqMode.SR)
 
 
 class _Unread(list):
@@ -458,20 +453,27 @@ class _Unread(list):
         raise AssertionError("a value was read")
 
 
-def test_sweep_past_its_bound_is_refused_before_any_row(military, monkeypatch):
+def test_sweep_n_refuses_all_but_one_to_n_max_before_any_row(military, monkeypatch):
     def no_row(*args):
         raise AssertionError("a row was evaluated")
     monkeypatch.setattr(throughput, "_arq_at", no_row)
     bound = throughput.MAX_SWEEP_N
-    rows = f"message-count range must hold at most {bound} values"
-    for n_values in (range(1, bound + 2), range(1, 10 ** 19), [1] * (bound + 1),
-                     _Unread(range(1, bound + 2))):
-        with pytest.raises(ValidationError, match=re.escape(rows)):
+    # A zero count would read sweep[-1]; True would be written as "n": true;
+    # a float count has no row; a range not starting at 1 would put an
+    # optimum outside its rows.
+    for n_values in ([5, 0], [True, 2], [1.0, 2.0], range(34, 37), range(0, 5),
+                     range(1, 10, 2), [1, bound + 1], [1] * (bound + 1),
+                     _Unread(range(1, 4)), _Unread(range(1, bound + 2))):
+        with pytest.raises(ValidationError,
+                           match=re.escape("message counts must be range(1, n_max + 1)")):
             build_sweep_n_report(military, n_values, ArqMode.SR)
-    largest = f"n_max must be in [1, {bound}], got {bound + 1}"
-    with pytest.raises(ValidationError, match=re.escape(largest)):
-        build_sweep_n_report(military, [1, bound + 1], ArqMode.SR)
-    with pytest.raises(ValidationError, match=re.escape(largest)):
+    for n_values, n_max in ((range(1, 1), 0), (range(1, bound + 2), bound + 1),
+                            (range(1, 10 ** 19), 10 ** 19 - 1)):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"n_max must be in [1, {bound}], got {n_max}")):
+            build_sweep_n_report(military, n_values, ArqMode.SR)
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"n_max must be in [1, {bound}], got {bound + 1}")):
         optimize_messages(military.throughput, bound + 1, ArqMode.SR)
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from relaygame.errors import (
     DegenerateGameError,
-    DimensionError,
     InfeasibleEquilibriumError,
     ValidationError,
 )
@@ -117,10 +116,12 @@ def test_total_utilities_at_equilibrium(military):
 
 def test_total_utility_dimension_error(military_params):
     profiles = make_profiles([1.0, 0.5])
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError,
+                       match=r"^strategy lengths \(1, 2\) do not match 2 relays$"):
         verify_equilibrium(MixedStrategy((1.0,)), MixedStrategy((0.5, 0.5)),
                            profiles, military_params)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError,
+                       match=r"^strategy lengths \(2, 1\) do not match 2 relays$"):
         verify_equilibrium(MixedStrategy((1.0, 0.0)), MixedStrategy((1.0,)),
                            profiles, military_params)
 
@@ -134,7 +135,7 @@ def test_mixed_strategy_validation():
         MixedStrategy((1.5, -0.5))           # entries off range
     with pytest.raises(ValidationError, match="^strategy entry 0 "):
         MixedStrategy((float("nan"), 1.0, 0.0, 0.0))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError, match="^mixed strategy must have at least one entry$"):
         MixedStrategy(())
 
 

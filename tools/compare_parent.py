@@ -106,6 +106,7 @@ INVALID = [
     ["solve", "--scenario", "military", "--set", "game.detect_rate=0.001"],
     ["solve", "--scenario", "military", "--set", "game.monitor_cost=5"],
     ["sweep-n", "--scenario", "military", "--n-max", "0"],
+    ["sweep-n", "--scenario", "military", "--n-max", "-5"],
     ["outage-check", "--scenario", "military", "--seed", "-1"],
     ["solve", "--scenario", "."],
     ["solve", "--scenario", "latin1.json"],
@@ -173,10 +174,13 @@ REFUSED = [
     ["outage-check", "--scenario", "military", "--trials", str(10 ** 20)],
 ]
 
-ARGVS = [command + ["--scenario", scenario, "--format", fmt, "--out", f"out.{fmt}"]
-         for scenario in ("military", "commercial", "unequal.json")
-         for command in COMMANDS
-         for fmt in ("json", "csv")] + INVALID + EDITS + REORDERED + LOADER + REFUSED
+#: Every command on every kind of scenario, in both output formats.
+GRID = [command + ["--scenario", scenario, "--format", fmt, "--out", f"out.{fmt}"]
+        for scenario in ("military", "commercial", "unequal.json")
+        for command in COMMANDS
+        for fmt in ("json", "csv")]
+
+ARGVS = GRID + INVALID + EDITS + REORDERED + LOADER + REFUSED
 
 
 def run(checkout: Path, cwd: Path, argv: list[str]) -> dict:
