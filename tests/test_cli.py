@@ -271,7 +271,7 @@ def _three_relays_one_on_the_threshold(data):
     (["solve", "--set", "name=" + "[" * 50_000], None,
      2, "scenario.name: value not read (maximum recursion depth exceeded "
         "while decoding a JSON array from a unicode string)"),
-    # Neither range is walked: len() of the first overflows, walking the second takes hours.
+    # Neither count is walked: the one n_max check refuses both before any row.
     (["sweep-n", "--n-max", str(10 ** 19)], None,
      2, f"n_max must be in [1, {throughput.MAX_SWEEP_N}], got {10 ** 19}"),
     (["sweep-n", "--n-max", str(10 ** 12)], None,
@@ -447,7 +447,7 @@ def test_sweep_n_flags_nonpositive_rows(military):
 
 
 class _Unread(list):
-    """A list whose values may be sliced and counted but not read one by one."""
+    """A list whose values may not be read one by one."""
 
     def __iter__(self):
         raise AssertionError("a value was read")
