@@ -446,6 +446,23 @@ def test_sweep_n_flags_nonpositive_rows(military):
     assert not flags[32] and flags[33]  # payload cutoff
 
 
+@pytest.fixture
+def no_row(monkeypatch):
+    """Make any evaluated sweep row fail the test."""
+    def row(*args):
+        raise AssertionError("a row was evaluated")
+    monkeypatch.setattr(throughput, "_arq_at", row)
+
+
+SHAPE = re.escape("message counts must be range(1, n_max + 1)")
+
+
+def test_sweep_n_refuses_a_zero_count_inside_a_list(military, no_row):
+    # Unchecked, row n = 0 would read sweep[-1], the last row.
+    with pytest.raises(ValidationError, match=SHAPE):
+        build_sweep_n_report(military, [5, 0], ArqMode.SR)
+
+
 class _Unread(list):
     """A list whose values may not be read one by one."""
 
@@ -453,19 +470,10 @@ class _Unread(list):
         raise AssertionError("a value was read")
 
 
-def test_sweep_n_refuses_all_but_one_to_n_max_before_any_row(military, monkeypatch):
-    def no_row(*args):
-        raise AssertionError("a row was evaluated")
-    monkeypatch.setattr(throughput, "_arq_at", no_row)
+def test_sweep_past_its_bound_is_refused_before_any_row(military, no_row):
     bound = throughput.MAX_SWEEP_N
-    # A zero count would read sweep[-1]; True would be written as "n": true;
-    # a float count has no row; a range not starting at 1 would put an
-    # optimum outside its rows.
-    for n_values in ([5, 0], [True, 2], [1.0, 2.0], range(34, 37), range(0, 5),
-                     range(1, 10, 2), [1, bound + 1], [1] * (bound + 1),
-                     _Unread(range(1, 4)), _Unread(range(1, bound + 2))):
-        with pytest.raises(ValidationError,
-                           match=re.escape("message counts must be range(1, n_max + 1)")):
+    for n_values in ([1, bound + 1], [1] * (bound + 1), _Unread(range(1, bound + 2))):
+        with pytest.raises(ValidationError, match=SHAPE):
             build_sweep_n_report(military, n_values, ArqMode.SR)
     for n_values, n_max in ((range(1, 1), 0), (range(1, bound + 2), bound + 1),
                             (range(1, 10 ** 19), 10 ** 19 - 1)):
@@ -475,6 +483,15 @@ def test_sweep_n_refuses_all_but_one_to_n_max_before_any_row(military, monkeypat
     with pytest.raises(ValidationError,
                        match=re.escape(f"n_max must be in [1, {bound}], got {bound + 1}")):
         optimize_messages(military.throughput, bound + 1, ArqMode.SR)
+
+
+def test_sweep_n_refuses_all_but_one_to_n_max_before_any_row(military, no_row):
+    # True would be written as "n": true; a float count has no row; a range
+    # not starting at 1 would put an optimum outside its rows.
+    for n_values in ([True, 2], [1.0, 2.0], range(34, 37), range(0, 5),
+                     range(1, 10, 2), _Unread(range(1, 4))):
+        with pytest.raises(ValidationError, match=SHAPE):
+            build_sweep_n_report(military, n_values, ArqMode.SR)
 
 
 def test_sweep_auth_columns(military):
