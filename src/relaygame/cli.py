@@ -22,7 +22,6 @@ from .errors import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_VALIDATION,
-    DegenerateGameError,
     InfeasibleEquilibriumError,
     RelayGameError,
     ValidationError,
@@ -252,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (InfeasibleEquilibriumError, DegenerateGameError) as exc:
+    except InfeasibleEquilibriumError as exc:
         print(f"error: {exc}\nhint: move costs/detection back into the model's "
               "validity region or adjust the relay assets", file=sys.stderr)
         return EXIT_INFEASIBLE

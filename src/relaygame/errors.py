@@ -1,5 +1,8 @@
 """Exception hierarchy, CLI exit codes and the one range check.
 
+One class per non-zero exit code: ValidationError 2, InfeasibleEquilibriumError 3,
+and their base RelayGameError 4 for any other refusal.
+
 Every range rule on a field or a scalar argument is a ``check_range`` call,
 so each bound is written once, NaN and +-inf fail it, and the error names the
 field: the scenario loader prefixes that name with the field's JSON path.
@@ -23,16 +26,9 @@ class ValidationError(RelayGameError):
         self.field = field
 
 
-class DegenerateGameError(RelayGameError):
-    """No sensible-target partition exists for these parameters."""
-
-
 class InfeasibleEquilibriumError(RelayGameError):
-    """Closed-form equilibrium leaves its validity region; refusing to clamp."""
-
-
-class NoFeasibleMessageCountError(RelayGameError):
-    """Every candidate message count has non-positive authenticated payload."""
+    """No equilibrium to report: no sensible-target partition exists, or the
+    closed-form strategies leave their validity region (refusing to clamp)."""
 
 
 def check_range(name: str, value, lo, hi=math.inf,

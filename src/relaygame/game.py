@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    DegenerateGameError,
     InfeasibleEquilibriumError,
     ValidationError,
     check_range,
@@ -171,7 +170,7 @@ def partition_targets(profiles, params: GameParams) -> TargetPartition:
     """
     assets = _checked_assets(profiles, params)
     if 1.0 - params.attack_cost <= 0.0:
-        raise DegenerateGameError(
+        raise InfeasibleEquilibriumError(
             f"attack_cost={params.attack_cost} >= 1 leaves the target threshold undefined")
 
     order = sorted(range(len(profiles)), key=lambda k: (-assets[k], profiles[k].id))
@@ -179,7 +178,7 @@ def partition_targets(profiles, params: GameParams) -> TargetPartition:
     inv_sum = 1.0 / largest
     threshold = _prefix_threshold(1, inv_sum, params)
     if not (largest > threshold) or _is_quasi(largest, threshold):
-        raise DegenerateGameError(
+        raise InfeasibleEquilibriumError(
             "no sensible target set exists: even the largest combined asset "
             f"({largest}) does not exceed its own-prefix threshold ({threshold}); "
             "this happens e.g. when detect_rate is 0")

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import __version__
 from .channel import OUTAGE_CHUNK, binomial_stderr, outage_monte_carlo, outage_sr_link
-from .errors import NoFeasibleMessageCountError, ValidationError
+from .errors import ValidationError
 from .game import combined_asset, diagnostic_attack_strategy, verify_equilibrium
 from .scenario import Scenario, canonical_json, scenario_hash
 from .sim import (
@@ -130,11 +130,11 @@ def build_sweep_n_report(scenario: Scenario, n_values: range, arq: ArqMode) -> d
     sweep = sweep_messages(cfg, n_values.stop - 1, arq, p_c)
     rows = [{"n": n, "throughput": value, "plot_omitted": value <= 0.0}
             for n, (value, _) in enumerate(sweep, start=1)]
-    try:
-        n_star, best = best_message_count(cfg, sweep)
-        optimal = {"n": n_star, "throughput": best}
-    except NoFeasibleMessageCountError as exc:
-        optimal = {"n": None, "throughput": None, "note": str(exc)}
+    n_star, best = best_message_count(sweep) or (None, None)
+    optimal = {"n": n_star, "throughput": best}
+    if n_star is None:
+        optimal["note"] = (f"no n in 1..{len(sweep)} keeps the authenticated payload positive "
+                           f"(packet_bits={cfg.packet_bits}, hash_bits={cfg.hash_bits})")
     return _bundle("sweep-n", scenario, {
         "arq": arq.value,
         "packet_success": p_c,

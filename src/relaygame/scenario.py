@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .channel import LinkModel, ber_end_to_end, outage_closed_form, packet_success
-from .errors import (DegenerateGameError, InfeasibleEquilibriumError, RelayGameError,
-                     ValidationError)
+from .errors import InfeasibleEquilibriumError, RelayGameError, ValidationError
 from .game import EquilibriumSolution, GameParams, RelayProfile, solve_equilibrium
 from .sim import SimConfig, resolve_auth
 from .throughput import SecurityRequirement, ThroughputConfig
@@ -80,7 +79,7 @@ class Scenario:
         the first relay when the game has no equilibrium to read it from."""
         try:
             probs = self.solution.attacker.probs
-        except (DegenerateGameError, InfeasibleEquilibriumError):
+        except InfeasibleEquilibriumError:
             return 0
         return max(range(len(probs)), key=lambda j: (probs[j], -self.ids[j]))
 

@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import NoFeasibleMessageCountError, ValidationError, check_range
+from .errors import ValidationError, check_range
 
 
 #: Bound of the integer fields that enter float arithmetic (the bit counts, the
@@ -163,23 +163,19 @@ def sweep_messages(cfg: ThroughputConfig, n_max: int, arq: ArqMode,
     return walk
 
 
-def best_message_count(cfg: ThroughputConfig, walk: list[tuple[float, bool]]) -> tuple[int, float]:
-    """Feasible argmax (n, throughput) of a ``sweep_messages`` walk; ties go to the smaller n."""
+def best_message_count(walk: list[tuple[float, bool]]) -> tuple[int, float] | None:
+    """Feasible argmax (n, throughput) of a sweep_messages walk, ties to the smaller n, else None."""
     best: tuple[int, float] | None = None
     for n, (value, feasible) in enumerate(walk, start=1):
         if feasible and (best is None or value > best[1]):
             best = (n, value)
-    if best is None:
-        raise NoFeasibleMessageCountError(
-            f"no n in 1..{len(walk)} keeps the authenticated payload positive "
-            f"(packet_bits={cfg.packet_bits}, hash_bits={cfg.hash_bits})")
     return best
 
 
 def optimize_messages(cfg: ThroughputConfig, n_max: int, arq: ArqMode,
-                      p_c: float = 1.0) -> tuple[int, float]:
-    """Brute-force argmax of throughput over message counts 1..n_max."""
-    return best_message_count(cfg, sweep_messages(cfg, n_max, arq, p_c))
+                      p_c: float = 1.0) -> tuple[int, float] | None:
+    """Brute-force argmax of throughput over message counts 1..n_max; None if none is feasible."""
+    return best_message_count(sweep_messages(cfg, n_max, arq, p_c))
 
 
 @dataclass(frozen=True)

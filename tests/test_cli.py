@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from relaygame import cli, report, scenario, throughput
+from relaygame import cli, errors, report, scenario, throughput
 from relaygame.channel import ber_end_to_end, packet_success
 from relaygame.cli import main
-from relaygame.errors import RelayGameError, ValidationError
+from relaygame.errors import InfeasibleEquilibriumError, RelayGameError, ValidationError
 from relaygame.report import (
     build_outage_crosscheck,
     build_simulation_report,
@@ -72,10 +72,31 @@ def test_infeasible_maps_to_exit_three(capsys):
     assert "validity region" in err
 
 
+HINT = ("hint: move costs/detection back into the model's validity region "
+        "or adjust the relay assets\n")
+
+
 def test_degenerate_maps_to_exit_three(capsys):
-    code, _, err = run_cli(capsys, "solve", "--scenario", "military",
-                           "--set", "game.detect_rate=0")
-    assert code == 3
+    for override, message in [
+        ("game.detect_rate=0",
+         "no sensible target set exists: even the largest combined asset (1.0) does not "
+         "exceed its own-prefix threshold (1.0); this happens e.g. when detect_rate is 0"),
+        ("game.attack_cost=1", "attack_cost=1.0 >= 1 leaves the target threshold undefined"),
+    ]:
+        code, out, err = run_cli(capsys, "solve", "--scenario", "military", "--set", override)
+        assert (code, out, err) == (3, "", f"error: {message}\n{HINT}")
+
+
+def test_one_error_class_per_exit_code(capsys, tmp_path):
+    defined = {value for value in vars(errors).values()
+               if isinstance(value, type) and issubclass(value, RelayGameError)
+               and value.__module__ == errors.__name__}
+    assert defined == {RelayGameError, ValidationError, InfeasibleEquilibriumError}
+    (tmp_path / "file").write_text("kept")
+    for edit, code in [(["--out", str(tmp_path / "file" / "out.json")], 4),
+                       (["--set", "game.detect_rate=2"], 2),
+                       (["--set", "game.monitor_cost=50"], 3)]:
+        assert run_cli(capsys, "solve", "--scenario", "military", *edit)[0] == code
 
 
 def test_source_deviation_to_an_excluded_relay_exits_three(capsys):

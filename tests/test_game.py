@@ -1,5 +1,6 @@
 """Game core: payoffs, partition, equilibrium and the deviation oracle."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -10,7 +11,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relaygame.errors import (
-    DegenerateGameError,
     InfeasibleEquilibriumError,
     ValidationError,
 )
@@ -172,10 +172,13 @@ def test_partition_rejects_bad_inputs(military_params):
     with pytest.raises(ValidationError):
         partition_targets([RelayProfile(1, 0.0, 0.0)], military_params)
     zero_detection = GameParams(0.0, 0.05, 0.01, 0.01, 0.01)
-    with pytest.raises(DegenerateGameError):
+    with pytest.raises(InfeasibleEquilibriumError, match=re.escape(
+            "no sensible target set exists: even the largest combined asset (1.0) does not "
+            "exceed its own-prefix threshold (1.0); this happens e.g. when detect_rate is 0")):
         partition_targets(make_profiles([1.0, 0.5]), zero_detection)
     consuming_cost = GameParams(0.9, 0.05, 1.0, 0.01, 0.01)
-    with pytest.raises(DegenerateGameError):
+    with pytest.raises(InfeasibleEquilibriumError, match=re.escape(
+            "attack_cost=1.0 >= 1 leaves the target threshold undefined")):
         partition_targets(make_profiles([1.0, 0.5]), consuming_cost)
     with pytest.raises(ValidationError):
         partition_targets([], military_params)
@@ -519,7 +522,7 @@ def test_support_enumeration_finds_one_equilibrium_and_the_solver_finds_it(game)
     profiles, params = game
     try:
         partition = partition_targets(profiles, params)
-    except DegenerateGameError:
+    except InfeasibleEquilibriumError:
         assume(False)    # C_a >= 1: a degenerate game, not one equilibrium
     # An asset on the threshold admits a whole interval of attack probabilities.
     assume(not partition.quasi_sensible)

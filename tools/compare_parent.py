@@ -114,7 +114,8 @@ INVALID = [
     ["solve", "--scenario", "military", "--out", "file/out.json"],
 ]
 
-#: The presets listing and the --set/--seed edits of the scenario's dict form.
+#: The presets listing and the --set/--seed edits of the scenario's dict form,
+#: one of which leaves the sweep no feasible message count.
 EDITS = [
     ["presets"],
     ["solve", "--scenario", "military", "--set", "game.detect_rate"],
@@ -129,6 +130,8 @@ EDITS = [
     ["solve", "--scenario", "military", "--set", 'annotations=["set by an override"]'],
     ["simulate", "--scenario", "military", "--set", "sim.episodes=1000",
      *(f"--set=sim.auth_prob.{rid}=0.5" for rid in (1, 2, 3, 4))],
+    ["sweep-n", "--scenario", "military", "--set", "throughput.hash_bits=1000",
+     "--n-max", "8", "--out", "out.json"],
 ]
 
 #: The shuffled relay order through every part of the program that reads it.
