@@ -96,10 +96,6 @@ class Scenario:
         return solve_equilibrium(self.profiles, self.game)
 
 
-def db_to_linear(value_db: float) -> float:
-    return 10.0 ** (value_db / 10.0)
-
-
 # Preset scenarios in their dict form, built afresh on every call so that
 # overrides may edit it.  Normalized assets (5-i)*0.25; per-hop SNRs track the
 # asset order, the direct path is weaker.  Link values do not affect the
@@ -277,7 +273,7 @@ def _snr(key: str):
             raise ValidationError(f"{node.path}.{key}: give either {key} or {key_db}, not both")
         value_db = node.number(key_db)
         try:
-            return db_to_linear(value_db)
+            return 10.0 ** (value_db / 10.0)
         except OverflowError:
             raise ValidationError(
                 f"{node.path}.{key_db}: {value_db} dB overflows a float") from None

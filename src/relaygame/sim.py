@@ -26,6 +26,7 @@ n_j, and the simulated rate stays an independent check of the closed form.
 The outage stage comes last, so no other counter depends on it, and the
 compromise curve runs the count stage alone.  Memory is O(K^2 + OUTAGE_CHUNK)
 whatever the episode count, and equal configs give byte-identical reports.
+Throughput rows average the ARQ formula over the selected relay at its own p_a and P_c.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .throughput import (
     ArqMode,
     SecurityRequirement,
     min_auth_probability,
-    throughput_for_mode,
+    mixed_throughput,
 )
 
 RNG_ALGORITHM = "numpy-pcg64/counts-4"
@@ -147,7 +148,6 @@ class _Counts:
     rng: np.random.Generator
     auth_by_id: dict[int, float]
     q_select: np.ndarray
-    pa_vec: np.ndarray
     table: np.ndarray          # episodes by (target, selected) relay index
     selected: np.ndarray       # the table's column sums
     authenticated: np.ndarray
@@ -184,7 +184,7 @@ def _count_stage(scenario, sim: SimConfig, solution: EquilibriumSolution) -> _Co
     if sim.refined_detection:
         compromised += rng.binomial(auth_hit, 1.0 - scenario.game.detect_rate)
     errored = rng.binomial(selected * ppe, 1.0 - np.array(scenario.p_c))
-    return _Counts(rng, auth_by_id, q_select, pa_vec, table, selected,
+    return _Counts(rng, auth_by_id, q_select, table, selected,
                    auth_hit + auth_other, compromised, errored)
 
 
@@ -196,17 +196,17 @@ def run_simulation(
     ``solution`` must come from solving the same scenario first (passing None
     is an ordering misuse and raises).  Returns the bundle's ``simulation``
     section: aggregate and per-relay selection, compromise, packet-error and
-    outage counters, plus empirical ARQ throughput computed from the observed
-    packet-success frequency.  The per-relay key order is the CSV column order.
+    outage counters, plus (arq, empirical, analytical) throughput rows, each a
+    ``mixed_throughput`` over the relays.  The per-relay key order is the CSV
+    column order.
     """
     if solution is None:
         raise ValidationError("scenario must be solved before simulating")
-    links = scenario.links
     ids = scenario.ids
     episodes, ppe = sim.episodes, sim.packets_per_episode
     c = _count_stage(scenario, sim, solution)
     # The outage stage comes last, so the other counters never depend on it.
-    outages = [count_outages(c.rng, ln, n) for ln, n in zip(links, c.selected.tolist())]
+    outages = [count_outages(c.rng, ln, n) for ln, n in zip(scenario.links, c.selected.tolist())]
 
     packets_total = episodes * ppe
     compromised_total = int(c.compromised.sum())
@@ -235,22 +235,15 @@ def run_simulation(
             "auth_prob": c.auth_by_id[rid],
         })
 
-    # ARQ throughput: empirical uses the observed packet-success frequency,
-    # the analytical column weights each relay's P_c by the mode's expected
-    # selection probabilities.  The payload terms use the selection-weighted
-    # authentication probability, which the per-packet Bernoulli draws
-    # converge to.
-    pc_analytical = min(1.0, max(0.0, float(c.q_select @ scenario.p_c)))
-    pc_empirical = 1.0 - err_total / packets_total
-    # Convex combinations; clip pure round-off back into [0, 1].
-    pa_effective = min(1.0, max(0.0, float(c.q_select @ c.pa_vec)))
-    cfg = replace(scenario.throughput, auth_prob=pa_effective)
+    analytical = tuple(zip(c.q_select.tolist(), [c.auth_by_id[i] for i in ids], scenario.p_c))
+    empirical = tuple((n_j / episodes, auth_j / (n_j * ppe), 1.0 - err_j / (n_j * ppe))
+                      for n_j, auth_j, err_j in zip(c.selected.tolist(), c.authenticated.tolist(),
+                                                    c.errored.tolist()) if n_j)
     throughput_rows = [
-        (mode.value,
-         throughput_for_mode(cfg, mode, pc_empirical),
-         throughput_for_mode(cfg, mode, pc_analytical))
+        (mode.value, mixed_throughput(scenario.throughput, mode, empirical),
+         mixed_throughput(scenario.throughput, mode, analytical))
         for mode in (ArqMode.GENERAL, ArqMode.SR, ArqMode.GBN)
-        if not (mode is ArqMode.GBN and cfg.resolved_window is None)
+        if not (mode is ArqMode.GBN and scenario.throughput.resolved_window is None)
     ]
     auth_total = int(c.authenticated.sum())
 
@@ -276,9 +269,8 @@ def run_simulation(
         "compromise_stderr": comp_se,
         "authenticated_total": auth_total,
         "authenticated_rate": auth_total / packets_total,
-        "auth_prob_effective": pa_effective,  # selection-weighted p_a the payload terms use
         "packet_error_rate": err_total / packets_total,
-        "packet_success_rate": pc_empirical,
+        "packet_success_rate": 1.0 - err_total / packets_total,
         "per_relay": per_relay,
         "throughput": throughput_rows,        # (arq, empirical, analytical)
         "notes": notes,

@@ -9,9 +9,9 @@ error, and reporting layers decide whether to omit such rows.
 Every ARQ throughput is payload * P_c / (T_presig + T_transfer * (P_c + (1 - P_c) * W))
 for packet-success probability P_c and window W.  Go-back-N takes the resolved
 window; selective repeat is W = 1, where the bracket is exactly 1.0 for every
-P_c in [0, 1] in IEEE doubles; the general throughput is P_c = 1.  A sweep over
-message counts validates its arguments once, then evaluates that one formula
-per n without copying the config.
+P_c in [0, 1] in IEEE doubles; the general throughput is P_c = 1.  Over relays at
+their own p_a and P_c, mixed_throughput sums it weighted.  A sweep over message
+counts validates its arguments once, then evaluates it per n without copying the config.
 """
 
 from __future__ import annotations
@@ -105,13 +105,14 @@ def _auth_payload(cfg: ThroughputConfig, n: int) -> int:
     return cfg.packet_bits - cfg.hash_bits * ((n - 1).bit_length() + 1)
 
 
-def _arq_at(cfg: ThroughputConfig, n: int, per_packet: int, p_c: float, retry: float) -> float:
+def _arq_at(cfg: ThroughputConfig, n: int, auth_prob: float, per_packet: int, p_c: float,
+            retry: float) -> float:
     """payload * P_c / (T_presig + T_transfer * retry) at n messages, the payload
     being the authenticated plus the unauthenticated bits per pre-signature."""
     transfer = cfg.transfer_time if cfg.transfer_time is not None else \
         n * cfg.packet_bits / cfg.data_rate
-    return ((n * cfg.auth_prob * per_packet
-             + n * (1.0 - cfg.auth_prob) * (cfg.packet_bits - cfg.hash_bits))
+    return ((n * auth_prob * per_packet
+             + n * (1.0 - auth_prob) * (cfg.packet_bits - cfg.hash_bits))
             * p_c / (cfg.presig_time + transfer * retry))
 
 
@@ -127,10 +128,21 @@ def _mode_terms(cfg: ThroughputConfig, mode: ArqMode, p_c: float) -> tuple[float
     return p_c, p_c + (1.0 - p_c) * window
 
 
+def mixed_throughput(cfg: ThroughputConfig, mode: ArqMode,
+                     relays: tuple[tuple[float, float, float], ...]) -> float:
+    """Sum of w * T(p_a, P_c) at cfg.n_messages over (w, p_a, P_c) triples, one per relay."""
+    per_packet = _auth_payload(cfg, cfg.n_messages)
+    total = -0.0          # the identity of +, so one triple of weight 1 is T's own bits
+    for weight, auth_prob, p_c in relays:
+        check_range("auth_prob", auth_prob, 0.0, 1.0)
+        p_c, retry = _mode_terms(cfg, mode, p_c)
+        total += weight * _arq_at(cfg, cfg.n_messages, auth_prob, per_packet, p_c, retry)
+    return total
+
+
 def throughput_for_mode(cfg: ThroughputConfig, mode: ArqMode, p_c: float) -> float:
-    """The one ARQ formula at cfg.n_messages; the general mode ignores ``p_c``."""
-    p_c, retry = _mode_terms(cfg, mode, p_c)
-    return _arq_at(cfg, cfg.n_messages, _auth_payload(cfg, cfg.n_messages), p_c, retry)
+    """mixed_throughput of one relay at cfg.auth_prob; the general mode ignores ``p_c``."""
+    return mixed_throughput(cfg, mode, ((1.0, cfg.auth_prob, p_c),))
 
 
 def throughput_general(cfg: ThroughputConfig) -> float:
@@ -158,7 +170,7 @@ def sweep_messages(cfg: ThroughputConfig, n_max: int, arq: ArqMode,
     walk = []
     for n in range(1, n_max + 1):
         per_packet = _auth_payload(cfg, n)
-        walk.append((_arq_at(cfg, n, per_packet, p_c, retry),
+        walk.append((_arq_at(cfg, n, cfg.auth_prob, per_packet, p_c, retry),
                      unauthenticated or per_packet > 0))
     return walk
 

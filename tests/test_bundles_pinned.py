@@ -41,9 +41,9 @@ PINNED = {
     ("military", "sweep-auth-simulate"):
         "39e7178686d0c60ba79d8f853c989c2517a01c529ac73235840e84ead79edca6",
     ("military", "simulate"):
-        "cd1b37e5198fab42fe6aaeb7a123a73de36dab3069666814e95212b17921ac26",
+        "728f31f7a6e7b1077fde38876529da19c322c3004da8444e2802a919a8a99b86",
     ("military", "simulate-auth-policy"):
-        "485d3a700d20fef2a61d181ac2156b321946310fc3d2f8a0a70598ff9d173f9b",
+        "7df376e396f312d419ee845a044ad712fdd2b894e8512013073f30e9fad02bd7",
     ("military", "outage-check"):
         "63fb6815fa814839f78f70eaaad533203202c88c646c3b1175a74aa7a73404bd",
     ("commercial", "solve"):
@@ -59,9 +59,9 @@ PINNED = {
     ("commercial", "sweep-auth-simulate"):
         "a0539529257b33135e50eefa62fb8f6fdd83fd01c63166b8c1e3c26ca20b4892",
     ("commercial", "simulate"):
-        "1811c375cd1c50ffc576ada63765b26cbe222912a044257b3953b77415139561",
+        "8f7bfcf3b6c188f65aaa448ccd6201c5cb7aa57fb61950d7bdeb4f99a5c8ed2f",
     ("commercial", "simulate-auth-policy"):
-        "0ad5c9cb8affbcf793906b3467d551c910973d1f2dc79b4a99293628f3371a28",
+        "acec15fe01b1194dfc53549e0d144d61efce82051508d398cb891f38ee97e1aa",
     ("commercial", "outage-check"):
         "3582bf251f8d636316ad4411100a1c045cad0cb6c962e0ec2c1cbbe630a462d1",
 }
@@ -89,9 +89,9 @@ PINNED_TEXT = {
     ("military", "sweep-auth-simulate"):
         "3a6ca248fe4f5b0bedb38518e69f7622639e200c869c75de469dd66264b16ca9",
     ("military", "simulate"):
-        "13f38a2b00c35c5c531374e3ebf3464eb289c11fd1100a8151a3389e9e5fa26d",
+        "15007c44631331a8f99f5268efb7664821abed0dc6416931208b604248b6ac6a",
     ("military", "simulate-auth-policy"):
-        "33c70ed52cd93660973d162922fba2acba2a54cfb349ac03458be2b662455b99",
+        "34939b1664fe477dd0f313c898a4e5bb44a21544d99eb6ccbd56d14c99eb5adf",
     ("military", "outage-check"):
         "94c9e357f326504edf03e53aaf60d29c37e00a82484c44524667fda4f2fec830",
     ("commercial", "solve"):
@@ -107,9 +107,9 @@ PINNED_TEXT = {
     ("commercial", "sweep-auth-simulate"):
         "368db4f9a1bc0b331e32e3408b7674110b24a171d83d6737a26808290fd80361",
     ("commercial", "simulate"):
-        "a2f557eae358710d670b1bfbc2fe183de85c1e31aaf950fb40752b91032ec6ed",
+        "eee63a2b29c7862654cfabb56abe4f5d8ac83ac00565b455171ca397b5190371",
     ("commercial", "simulate-auth-policy"):
-        "823cd8dc17a0b8d44969290e773daa76ad2ae8a8d1c85eaf0e3394a30c052565",
+        "de6b54ec2de5f9768eb069376105dc910966ed186dc8377c11e45d76d0861e0e",
     ("commercial", "outage-check"):
         "94c9e357f326504edf03e53aaf60d29c37e00a82484c44524667fda4f2fec830",
 }

@@ -28,7 +28,7 @@ SEED = 20_161_011
 SCENARIOS = 100
 
 PINNED = "538004d33528cd65a5c6c0a5c9a05518b51401409104109de33cfc3425236c94"
-PINNED_SIMULATED = "fb805fc8f0b086408c95a59949c56787d83cae559138e27262bb53c017e45dc3"
+PINNED_SIMULATED = "4cd30763b57e76d30c1a14567624f28cad7587a7b5e68433365c756bfcc60304"
 
 EPISODES = 2_000
 TRIALS = 1_000

@@ -1,6 +1,7 @@
 """Monte Carlo simulator: sampling, compromise accounting, determinism."""
 
 import math
+import statistics
 import tracemalloc
 from dataclasses import replace
 
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from relaygame import report as report_module
+from relaygame import scenario as scenario_module
 from relaygame import sim as sim_module
 from relaygame.errors import ValidationError
 from relaygame.game import solve_equilibrium
@@ -22,7 +25,9 @@ from relaygame.sim import (
     policy_auth_probs,
     run_simulation,
 )
-from relaygame.throughput import SecurityRequirement, compromising_probability
+from relaygame.throughput import ArqMode, SecurityRequirement, compromising_probability
+from test_generated_bundles_pinned import _load_workloads
+from test_throughput import written_out_sweep
 
 TABLE_P = (0.23256, 0.30814, 0.4593, 0.0)   # published military attack probs
 
@@ -100,7 +105,6 @@ def test_packet_success_and_auth_converge(military, military_solution):
     # Authenticated fraction converges to the Bernoulli probability.
     sigma = math.sqrt(0.7 * 0.3 / report["packets_total"])
     assert abs(report["authenticated_rate"] - 0.7) <= 3 * sigma
-    assert report["auth_prob_effective"] == pytest.approx(0.7, abs=1e-12)
     # Per-packet success converges to the selection-weighted analytical value.
     expected = sum(
         q * s["packet_success_analytical"]
@@ -468,3 +472,108 @@ def test_memory_stays_bounded_for_large_runs(military, military_solution):
 def test_sim_config_rejects_uncountable_sizes():
     with pytest.raises(ValidationError, match="2\\^63"):
         SimConfig(episodes=2 ** 40, packets_per_episode=2 ** 23)
+
+
+# --- throughput rows: the mixture over the selected relay ---------------------
+#
+# An episode's throughput is the ARQ formula at its selected relay's own p_a and
+# P_c, so the mean over the source's mix is the sum of q_j * T_j.  The
+# analytical column is that sum; the empirical one is the same sum at the
+# observed shares and rates, so over many seeds its mean lands on it.
+
+def written_out_mixture(scenario, arq, weights, auth):
+    """Sum over the relays of w_j * T(p_a,j, P_c,j) at n_messages, each term by
+    written_out_sweep's per-n formula, added in relay order from -0.0: no code
+    shared with relaygame.throughput."""
+    c = scenario.throughput
+    total = -0.0
+    for w, pa, p_c in zip(weights, auth, scenario.p_c):
+        total += w * written_out_sweep(replace(c, auth_prob=pa), c.n_messages, arq, p_c)[-1][0]
+    return total
+
+
+def source_probs(scenario, source_mode):
+    """The source's selection probabilities in a mode: Q*, or all weight on the
+    relay of largest attacker utility, ties to the smaller id."""
+    solution = scenario.solution
+    if source_mode is SourceMode.EQUILIBRIUM:
+        return list(solution.source.probs)
+    best = max(range(len(scenario.ids)),
+               key=lambda j: (solution.per_relay[j][0], -scenario.ids[j]))
+    return [1.0 if j == best else 0.0 for j in range(len(scenario.ids))]
+
+
+def assert_analytical_rows_are_the_mixture(scenario, simulation):
+    """Every analytical throughput equals the written-out sum bit for bit, and
+    the go-back-N row is there exactly when a window resolves."""
+    q = source_probs(scenario, SourceMode(simulation["source_mode"]))
+    auth = [r["auth_prob"] for r in simulation["per_relay"]]
+    modes = [arq for arq in ArqMode
+             if arq is not ArqMode.GBN or scenario.throughput.resolved_window is not None]
+    assert [arq for arq, _, _ in simulation["throughput"]] == [arq.value for arq in modes]
+    assert [analytical.hex() for _, _, analytical in simulation["throughput"]] == \
+        [written_out_mixture(scenario, arq, q, auth).hex() for arq in modes]
+
+
+@pytest.mark.parametrize("attacker_mode,source_mode,refined", MODES, ids=MODE_IDS)
+def test_analytical_throughput_is_the_written_out_mixture_in_every_mode(
+        military, military_solution, attacker_mode, source_mode, refined):
+    sim = SimConfig(episodes=EQUIVALENCE_EPISODES, packets_per_episode=EQUIVALENCE_PACKETS,
+                    seed=1, attacker_mode=attacker_mode, source_mode=source_mode,
+                    auth_prob=EQUIVALENCE_AUTH, refined_detection=refined)
+    assert_analytical_rows_are_the_mixture(
+        military, run_simulation(military, sim, military_solution))
+
+
+@pytest.mark.parametrize("preset", ["military", "commercial"])
+def test_analytical_throughput_is_the_written_out_mixture_on_the_presets(request, preset):
+    scenario = request.getfixturevalue(preset)
+    policy = report_module.build_simulation_report(scenario, auth_policy=True)["simulation"]
+    assert len({pa for _, pa in policy["auth_prob"]}) > 1
+    assert_analytical_rows_are_the_mixture(scenario, policy)
+    mapping = replace(scenario.sim, episodes=20_000, auth_prob=EQUIVALENCE_AUTH)
+    assert_analytical_rows_are_the_mixture(
+        scenario, run_simulation(scenario, mapping, scenario.solution))
+
+
+def test_analytical_throughput_is_the_written_out_mixture_on_generated_scenarios(monkeypatch):
+    """Twenty generated scenarios, with and without the per-relay policy; every
+    other transfer-time one loses its window, so it has no go-back-N row."""
+    workloads = _load_workloads(monkeypatch)
+    rng = np.random.default_rng(32)
+    seen = {"go-back-N row": 0, "no go-back-N row": 0}
+    for j in range(20):
+        data, _ = workloads.generate_scenario(rng, 2 + j % 11)
+        if "transfer_time" in data["throughput"] and j % 2:
+            del data["throughput"]["window"]
+        data["sim"] = {**data.get("sim", {"seed": j}), "episodes": 2_000}
+        scenario = scenario_module.scenario_from_dict(data)
+        seen["no go-back-N row" if scenario.throughput.resolved_window is None
+             else "go-back-N row"] += 1
+        for policy in (False, True):
+            bundle = report_module.build_simulation_report(scenario, auth_policy=policy)
+            assert_analytical_rows_are_the_mixture(scenario, bundle["simulation"])
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("attacker_mode,source_mode,refined", MODES, ids=MODE_IDS)
+def test_empirical_throughput_converges_to_the_mixture(
+        military, military_solution, attacker_mode, source_mode, refined):
+    """Over the pinned seeds, each row's mean empirical throughput lies within
+    4 standard errors of the mean of the written-out sum."""
+    q = source_probs(military, source_mode)
+    auth = [EQUIVALENCE_AUTH[i] for i in military.ids]
+    expected = {arq.value: written_out_mixture(military, arq, q, auth) for arq in ArqMode}
+    empirical = {arq: [] for arq in expected}
+    for seed in EQUIVALENCE_SEEDS:
+        sim = SimConfig(episodes=EQUIVALENCE_EPISODES, packets_per_episode=EQUIVALENCE_PACKETS,
+                        seed=seed, attacker_mode=attacker_mode, source_mode=source_mode,
+                        auth_prob=EQUIVALENCE_AUTH, refined_detection=refined)
+        for arq, value, _ in run_simulation(military, sim, military_solution)["throughput"]:
+            empirical[arq].append(value)
+    runs = len(EQUIVALENCE_SEEDS)
+    for arq, values in empirical.items():
+        assert len(values) == runs, arq
+        mean, sd = statistics.fmean(values), statistics.stdev(values)
+        assert abs(mean - expected[arq]) <= 4 * sd / math.sqrt(runs), \
+            f"{arq}: mean {mean:.2f}, expected {expected[arq]:.2f}, sd {sd:.2f}"

@@ -17,6 +17,7 @@ from relaygame.throughput import (
     ThroughputConfig,
     compromising_probability,
     min_auth_probability,
+    mixed_throughput,
     optimize_messages,
     sweep_messages,
     throughput_for_mode,
@@ -309,6 +310,46 @@ def test_sweep_messages_errors_match_the_reference():
         for c, p_c in ((cfg(window=4), 0.5), (no_window, math.nan)):
             assert outcome(sweep_messages, c, 0, arq, p_c) == \
                 (ValidationError, str(n_max_error.value))
+
+
+def bits(fn, *args):
+    """float.hex of one throughput (it keeps -0.0 apart from 0.0), or the error raised."""
+    try:
+        return fn(*args).hex()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def test_mixed_throughput_of_one_relay_is_throughput_for_mode():
+    """One triple of weight 1 is throughput_for_mode bit for bit, at the config's
+    p_a or at another one, whose config copy it never needs."""
+    rng = np.random.default_rng(32)
+    edge_pc = (0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53)
+    seen = {"negative zero": 0, "gbn error": 0}
+    for i in range(600):
+        c = random_sweep_config(rng, i)
+        p_c = edge_pc[i % 5] if i % 5 < 4 else float(rng.uniform())
+        pa = float(rng.choice([0.0, 1.0, rng.uniform()]))
+        for arq in ArqMode:
+            expected = bits(throughput_for_mode, c, arq, p_c)
+            assert bits(mixed_throughput, c, arq, ((1.0, c.auth_prob, p_c),)) == expected
+            assert bits(mixed_throughput, c, arq, ((1.0, pa, p_c),)) == \
+                bits(throughput_for_mode, replace(c, auth_prob=pa), arq, p_c)
+            seen["negative zero"] += expected == "-0x0.0p+0"
+            seen["gbn error"] += isinstance(expected, tuple)
+    assert all(seen.values()), seen
+    # P_c = 0 on a negative authenticated payload: the sum keeps the -0.0.
+    negative = cfg(packet_bits=100, auth_prob=1.0)
+    assert bits(mixed_throughput, negative, ArqMode.SR, ((1.0, 1.0, 0.0),)) == "-0x0.0p+0"
+    assert bits(throughput_for_mode, negative, ArqMode.SR, 0.0) == "-0x0.0p+0"
+
+
+@pytest.mark.parametrize("pa", [-0.1, 1.5, math.nan, math.inf])
+def test_mixed_throughput_rejects_a_bad_auth_prob(pa):
+    for arq in ArqMode:
+        with pytest.raises(ValidationError, match=r"^auth_prob must be in \[0, 1\]") as exc:
+            mixed_throughput(cfg(window=4), arq, ((0.5, 0.5, 0.5), (0.5, pa, 0.5)))
+        assert exc.value.field == "auth_prob"
 
 
 @pytest.mark.parametrize("arq", list(ArqMode))

@@ -115,7 +115,9 @@ INVALID = [
 ]
 
 #: The presets listing and the --set/--seed edits of the scenario's dict form,
-#: one of which leaves the sweep no feasible message count.
+#: one of which leaves the sweep no feasible message count, and the simulate
+#: bundles of a per-relay authentication mapping and of an explicit transfer
+#: time with no window, which has no go-back-N row.
 EDITS = [
     ["presets"],
     ["solve", "--scenario", "military", "--set", "game.detect_rate"],
@@ -132,6 +134,12 @@ EDITS = [
      *(f"--set=sim.auth_prob.{rid}=0.5" for rid in (1, 2, 3, 4))],
     ["sweep-n", "--scenario", "military", "--set", "throughput.hash_bits=1000",
      "--n-max", "8", "--out", "out.json"],
+    ["simulate", "--scenario", "commercial", "--set", "sim.episodes=20000",
+     *(f"--set=sim.auth_prob.{rid}={pa}" for rid, pa in ((1, 0.2), (2, 0.5), (3, 0.7), (4, 0.9))),
+     "--out", "out.json"],
+    ["simulate", "--scenario", "unequal.json", "--set", "throughput.data_rate=null",
+     "--set", "throughput.reaction_time=null", "--set", "throughput.transfer_time=0.004",
+     "--out", "out.json"],
 ]
 
 #: The shuffled relay order through every part of the program that reads it.
